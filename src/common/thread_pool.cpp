@@ -9,12 +9,6 @@
 
 namespace dynriver::common {
 
-namespace {
-/// Lane count for `threads == 0`: the DR_THREADS environment override when
-/// set to a positive integer, else hardware concurrency. The override is the
-/// explicit knob for containers whose advertised core count is wrong for the
-/// workload (a 1-core CI box makes every threads=0 pool a no-op; shared
-/// hardware may want fewer lanes than cores).
 std::size_t default_thread_count() {
   // Cap the override: a typo'd or overflowed value (strtol saturates at
   // LONG_MAX on ERANGE) must not translate into thousands of spawned
@@ -29,7 +23,6 @@ std::size_t default_thread_count() {
   }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();

@@ -21,6 +21,14 @@
 
 namespace dynriver::common {
 
+/// Lane count for `threads == 0`: the DR_THREADS environment override when
+/// set to a positive integer (capped at 512), else hardware concurrency. The
+/// override is the explicit knob for containers whose advertised core count
+/// is wrong for the workload (a 1-core CI box makes every threads=0 pool a
+/// no-op; shared hardware may want fewer lanes than cores). Resolving it
+/// creates no pool.
+[[nodiscard]] std::size_t default_thread_count();
+
 class ThreadPool {
  public:
   /// A pool with `threads` total lanes of concurrency, the calling thread

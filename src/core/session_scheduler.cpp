@@ -1,8 +1,7 @@
 #include "core/session_scheduler.hpp"
 
-#include <chrono>
-
 #include "common/contracts.hpp"
+#include "common/thread_pool.hpp"
 #include "river/segment_store.hpp"
 
 namespace dynriver::core {
@@ -54,18 +53,23 @@ struct SessionScheduler::Station {
   std::deque<std::vector<float>> queue DR_GUARDED_BY(mu);
   std::size_t queued_samples DR_GUARDED_BY(mu) = 0;
   bool closed DR_GUARDED_BY(mu) = false;  ///< no more input will arrive
-  /// finish() delivered (claimed by worker).
+  /// finish() delivered (claimed by the serving lane).
   bool session_finished DR_GUARDED_BY(mu) = false;
   /// sink finished too; never runnable again.
   bool finished DR_GUARDED_BY(mu) = false;
+  /// On the active list or being served by a lane. Set only on the
+  /// unscheduled->scheduled transition (enqueue/close), cleared only by the
+  /// serving lane when a visit leaves no work — so one lane at a time.
+  bool scheduled DR_GUARDED_BY(mu) = false;
   /// Live reconfigure hand-off.
   std::optional<PipelineParams> pending_params DR_GUARDED_BY(mu);
 
   /// Resolved per-round credit (config.quantum_samples or the scheduler
   /// default) — weighted DRR reads this, never the options, per round.
   std::size_t quantum = 0;
-  /// Deficit round-robin credit; touched only by the one worker processing
-  /// this station in a round (rounds never overlap per station).
+  /// Deficit round-robin credit; touched only by the one lane serving the
+  /// station (`scheduled` admits one lane at a time; hand-offs between
+  /// lanes go through ready_mu_).
   std::size_t deficit = 0;
 
   // Counters. samples_consumed is advanced in the same critical section
@@ -85,18 +89,31 @@ struct SessionScheduler::Station {
 // ---------------------------------------------------------------------------
 
 SessionScheduler::SessionScheduler(SchedulerOptions options)
-    : options_(std::move(options)),
-      runner_(std::make_unique<common::TaskRunner>(options_.threads)) {
+    : options_(std::move(options)) {
   DR_EXPECTS(options_.quantum_samples >= 1);
 }
 
 SessionScheduler::~SessionScheduler() {
-  // Normal runs join in run(); this path only fires when run() unwound on
-  // an exception with readers still alive (possibly blocked on queue room).
-  shutdown_.store(true, std::memory_order_relaxed);
-  for (auto& st : stations_) st->room.notify_all();
+  // run() joins its own threads; this only matters when run() was never
+  // called or a caller's exception left push()ers blocked on queue room.
+  shut_down(nullptr);
   for (auto& t : readers_) {
     if (t.joinable()) t.join();
+  }
+}
+
+void SessionScheduler::shut_down(std::exception_ptr error) {
+  {
+    const common::LockGuard lk(ready_mu_);
+    if (!error_) error_ = std::move(error);
+    shutdown_.store(true, std::memory_order_relaxed);
+  }
+  ready_cv_.notify_all();
+  for (auto& st : stations_) {
+    // A producer that read shutdown_ as false still holds mu until it
+    // waits; taking mu here orders the notify after that wait.
+    { const common::LockGuard lk(st->mu); }
+    st->room.notify_all();
   }
 }
 
@@ -120,6 +137,8 @@ std::size_t SessionScheduler::add_station_impl(
   st->sink = std::move(sink);
   st->config = std::move(config);
   stations_.push_back(std::move(st));
+  const common::LockGuard lk(ready_mu_);
+  ++unfinished_;
   return stations_.size() - 1;
 }
 
@@ -138,12 +157,17 @@ std::size_t SessionScheduler::add_station(
                           std::move(config));
 }
 
-void SessionScheduler::notify_work() {
+void SessionScheduler::make_ready(Station& st) {
+  bool wake = false;
   {
-    const common::LockGuard lk(work_mu_);
-    ++work_epoch_;
+    const common::LockGuard lk(ready_mu_);
+    ready_.push_back(&st);
+    if (parked_ > wakeups_) {
+      ++wakeups_;
+      wake = true;
+    }
   }
-  work_cv_.notify_all();
+  if (wake) ready_cv_.notify_one();
 }
 
 std::size_t SessionScheduler::enqueue(Station& st,
@@ -153,6 +177,7 @@ std::size_t SessionScheduler::enqueue(Station& st,
   // plus one oversized chunk".
   DR_EXPECTS(samples.size() <= st.config.queue_capacity_samples);
   std::size_t dropped = 0;
+  bool schedule = false;
   {
     common::UniqueLock lk(st.mu);
     DR_EXPECTS(!st.closed);
@@ -178,8 +203,10 @@ std::size_t SessionScheduler::enqueue(Station& st,
     st.queued_samples += samples.size();
     st.samples_in += samples.size();
     st.samples_dropped += dropped;
+    schedule = !st.scheduled;
+    st.scheduled = true;
   }
-  notify_work();
+  if (schedule) make_ready(st);
   return dropped;
 }
 
@@ -189,12 +216,15 @@ std::size_t SessionScheduler::push(std::size_t station,
 }
 
 void SessionScheduler::close_internal(Station& st) {
+  bool schedule = false;
   {
     const common::LockGuard lk(st.mu);
     st.closed = true;
+    schedule = !st.scheduled && !st.finished;
+    if (schedule) st.scheduled = true;
   }
   st.room.notify_all();
-  notify_work();
+  if (schedule) make_ready(st);
 }
 
 void SessionScheduler::close_station(std::size_t station) {
@@ -213,7 +243,6 @@ void SessionScheduler::reconfigure(std::size_t station,
     const common::LockGuard lk(st.mu);
     st.pending_params = params;
   }
-  notify_work();
 }
 
 void SessionScheduler::deliver(Station& st,
@@ -225,7 +254,7 @@ void SessionScheduler::deliver(Station& st,
   st.ensembles_out += count;
 }
 
-void SessionScheduler::process_station(Station& st) {
+SessionScheduler::Visit SessionScheduler::process_station(Station& st) {
   st.deficit += st.quantum;
   bool drained = false;
   for (;;) {
@@ -243,7 +272,7 @@ void SessionScheduler::process_station(Station& st) {
       // Counted as consumed in the same critical section that dequeues it,
       // so `pushed == consumed + dropped + queued` holds exactly for every
       // stats() reader at every instant — the chunk is unconditionally fed
-      // to the session before this worker touches the station again.
+      // to the session before this lane lets go of the station.
       st.samples_consumed += chunk.size();
       if (st.pending_params) {
         // Hand the live re-parameterization to the session before the next
@@ -271,33 +300,91 @@ void SessionScheduler::process_station(Station& st) {
     st.sink->finish();
   }
 
+  const common::LockGuard lk(st.mu);
+  st.session_buffered = st.session->buffered_samples();
+  if (close_now) {
+    st.finished = true;
+    st.scheduled = false;
+    return Visit::kFinished;
+  }
+  // Decided in the same critical section enqueue/close_internal test
+  // `scheduled` in, so no arrival can fall between this check and parking.
+  if (!st.queue.empty() || st.closed) return Visit::kRequeue;
+  st.scheduled = false;
+  return Visit::kPark;
+}
+
+SessionScheduler::Station* SessionScheduler::pop_ready_locked(
+    bool& closes_round) {
+  if (ready_.empty()) return nullptr;
+  // A round covers exactly the stations on the list when it opens: the
+  // list is FIFO, so they are the next round_left_ pops.
+  if (round_left_ == 0) round_left_ = ready_.size();
+  Station* st = ready_.front();
+  ready_.pop_front();
+  closes_round = --round_left_ == 0;
+  return st;
+}
+
+SessionScheduler::Station* SessionScheduler::next_ready(bool& closes_round) {
+  common::UniqueLock lk(ready_mu_);
+  for (;;) {
+    if (shutdown_.load(std::memory_order_relaxed)) return nullptr;
+    if (Station* st = pop_ready_locked(closes_round)) return st;
+    if (unfinished_ == 0) return nullptr;
+    ++parked_;
+    ready_cv_.wait(lk);
+    --parked_;
+    if (wakeups_ > 0) --wakeups_;
+  }
+}
+
+void SessionScheduler::serve(Station& st, bool closes_round) {
+  const Visit visit = process_station(st);
+  bool all_finished = false;
   {
-    const common::LockGuard lk(st.mu);
-    st.session_buffered = st.session->buffered_samples();
-    if (close_now) st.finished = true;
+    const common::LockGuard lk(ready_mu_);
+    // Requeueing wakes nobody: the lane serving it is about to pop again.
+    if (visit == Visit::kRequeue) ready_.push_back(&st);
+    if (visit == Visit::kFinished) all_finished = --unfinished_ == 0;
+  }
+  if (all_finished) ready_cv_.notify_all();
+  if (closes_round) {
+    rounds_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.on_round) {
+      const common::LockGuard lk(on_round_mu_);
+      options_.on_round(stats());
+    }
   }
 }
 
 bool SessionScheduler::process_available() {
-  runnable_.clear();
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    Station& st = *stations_[i];
-    const common::LockGuard lk(st.mu);
-    if (st.finished) continue;
-    if (!st.queue.empty() || st.closed) runnable_.push_back(i);
+  std::size_t visits = 0;
+  {
+    const common::LockGuard lk(ready_mu_);
+    visits = ready_.size();
+    round_left_ = visits;
   }
-  if (!runnable_.empty()) {
-    runner_->run(runnable_.size(), [this](std::size_t k) {
-      process_station(*stations_[runnable_[k]]);
-    });
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.on_round) options_.on_round(stats());
+  for (; visits > 0; --visits) {
+    bool closes_round = false;
+    Station* st = nullptr;
+    {
+      const common::LockGuard lk(ready_mu_);
+      st = pop_ready_locked(closes_round);
+    }
+    serve(*st, closes_round);
   }
-  for (const auto& st : stations_) {
-    const common::LockGuard lk(st->mu);
-    if (!st->finished) return true;
+  const common::LockGuard lk(ready_mu_);
+  return unfinished_ > 0;
+}
+
+void SessionScheduler::lane_loop() {
+  try {
+    bool closes_round = false;
+    while (Station* st = next_ready(closes_round)) serve(*st, closes_round);
+  } catch (...) {
+    shut_down(std::current_exception());
   }
-  return false;
 }
 
 void SessionScheduler::reader_loop(Station& st) {
@@ -319,27 +406,29 @@ void SessionScheduler::run() {
       readers_.emplace_back([this, s = st.get()] { reader_loop(*s); });
     }
   }
-  for (;;) {
-    std::uint64_t epoch_before = 0;
-    {
-      const common::LockGuard lk(work_mu_);
-      epoch_before = work_epoch_;
-    }
-    if (!process_available()) break;
-    // Nothing was runnable this pass: sleep until a producer enqueues,
-    // closes, or reconfigures (epoch bump, read before the pass so no
-    // wakeup is lost), with a timeout safety net.
-    if (runnable_.empty()) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-      common::UniqueLock lk(work_mu_);
-      while (work_epoch_ == epoch_before &&
-             work_cv_.wait_until(lk, deadline) != std::cv_status::timeout) {
-      }
+  const std::size_t lane_count = options_.threads != 0
+                                     ? options_.threads
+                                     : common::default_thread_count();
+  std::vector<std::thread> lanes;
+  lanes.reserve(lane_count - 1);
+  for (std::size_t i = 1; i < lane_count; ++i) {
+    try {
+      lanes.emplace_back([this] { lane_loop(); });
+    } catch (...) {  // no thread to spare: stop the lanes that did start
+      shut_down(std::current_exception());
+      break;
     }
   }
+  lane_loop();
+  for (auto& t : lanes) t.join();
   for (auto& t : readers_) t.join();
   readers_.clear();
+  std::exception_ptr error;
+  {
+    const common::LockGuard lk(ready_mu_);
+    error = error_;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 SchedulerStats SessionScheduler::stats() const {

@@ -4,10 +4,13 @@
 // The paper's deployment shape is a sensor network of many acoustic
 // stations feeding one analysis host. SessionScheduler owns one named
 // StreamSession per station — each bound to a river::SampleSource and an
-// river::EnsembleSink — and drives them from a common::ThreadPool with
-// deficit round-robin scheduling: every round, each station with queued
-// input gets a `quantum_samples` credit and processes whole chunks while
-// its credit lasts, so a chatty station cannot starve a quiet one.
+// river::EnsembleSink — and drives them from its own lanes with deficit
+// round-robin scheduling: stations with work wait in one FIFO active list,
+// and every visit gives a station a `quantum_samples` credit to process
+// whole chunks while its credit lasts, so a chatty station cannot starve a
+// quiet one. A lane that finishes a visit takes the next ready station at
+// once; no lane waits for another (work-conserving), and a station is
+// served by at most one lane at a time, so its ensembles stay in order.
 //
 // Ingest is decoupled from processing by a per-station bounded queue with
 // an explicit backpressure policy:
@@ -32,6 +35,7 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -42,7 +46,6 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
 #include "core/stream_session.hpp"
 #include "river/sample_io.hpp"
 
@@ -72,7 +75,7 @@ struct StationConfig {
   /// without starving anyone.
   std::size_t quantum_samples = 0;
   /// Session observation knobs (taps, on_signal). on_signal runs on a
-  /// scheduler worker thread.
+  /// scheduler lane.
   SessionOptions session_options;
   /// Optional shared SpectralEngine (e.g. one engine for all stations);
   /// nullptr builds a private one from `params`.
@@ -94,7 +97,10 @@ struct StationStats {
 /// Aggregate snapshot across every station.
 struct SchedulerStats {
   std::vector<StationStats> stations;
-  std::size_t rounds = 0;  ///< scheduling rounds executed so far
+  /// Scheduling rounds completed so far. A round is one full cycle through
+  /// the active list: every station that was ready when the round began has
+  /// had one visit.
+  std::size_t rounds = 0;
 
   [[nodiscard]] std::size_t total_queued_samples() const;
   [[nodiscard]] std::size_t total_buffered_samples() const;  ///< queues + sessions
@@ -103,9 +109,9 @@ struct SchedulerStats {
 };
 
 struct SchedulerOptions {
-  /// Worker lanes for station processing (common::TaskRunner semantics:
-  /// 0 = the shared common::ThreadPool, 1 = serial on the caller,
-  /// >= 2 = a dedicated pool of that size).
+  /// Lanes run() serves stations on: 0 = common::default_thread_count()
+  /// (DR_THREADS, else hardware concurrency), 1 = serial on the caller,
+  /// >= 2 = that many lanes, the caller being one of them.
   std::size_t threads = 0;
   /// Deficit round-robin credit per station per round, in samples, for
   /// stations that leave StationConfig::quantum_samples at 0. A station
@@ -113,9 +119,12 @@ struct SchedulerOptions {
   /// credit carries over while work remains (so chunks larger than one
   /// quantum still progress) and resets when its queue drains.
   std::size_t quantum_samples = 4500;
-  /// Observer invoked after every scheduling round with a fresh stats
-  /// snapshot, on the scheduling thread with all workers quiescent —
-  /// fairness/memory audits hook in here.
+  /// Observer invoked after every scheduling round (one full cycle through
+  /// the active list) with a fresh stats() snapshot — fairness/memory audits
+  /// hook in here. It runs on whichever lane closes the round, while the
+  /// other lanes keep working, so the snapshot is exact per station but not
+  /// a quiescent whole. Calls never overlap: they are serialized behind
+  /// their own mutex. Under process_available() it runs on the caller.
   std::function<void(const SchedulerStats&)> on_round;
 };
 
@@ -158,20 +167,27 @@ class SessionScheduler {
 
   /// Live re-parameterization of a running session. Validated eagerly
   /// (must be reconfigure_compatible with the station's current params);
-  /// adopted by the worker before the station's next processed chunk, at a
-  /// safe automaton boundary. Ensembles already in flight are unaffected.
+  /// adopted by the serving lane before the station's next processed chunk,
+  /// at a safe automaton boundary. Ensembles already in flight are
+  /// unaffected.
   void reconfigure(std::size_t station, const PipelineParams& params);
 
-  /// Drive every station to completion: spawns the reader threads, then
-  /// runs scheduling rounds until all stations are finished. Call at most
-  /// once. Push-fed stations must be closed (by other threads) for run()
-  /// to return.
+  /// Drive every station to completion: spawns the reader threads and
+  /// `threads - 1` lane threads, serves stations on the caller as the last
+  /// lane, and returns once all stations are finished. Call at most once.
+  /// Push-fed stations must be closed (by other threads) for run() to
+  /// return. The first exception a sink (or on_round) throws on any lane
+  /// shuts the scheduler down — lanes stop, blocked producers are released,
+  /// lanes and readers are joined — and is rethrown here.
   void run();
 
-  /// One deficit-round-robin scheduling round over the stations that have
-  /// queued work (or are ready to finish). Returns true while any station
-  /// is unfinished. Alternative to run() for callers that interleave their
-  /// own work or drive the scheduler deterministically (tests).
+  /// One deficit-round-robin round over the stations that are ready at
+  /// entry (queued work, or closed and ready to finish), served serially on
+  /// the caller through the same visit path run()'s lanes use. Returns true
+  /// while any station is unfinished. Alternative to run() for callers that
+  /// interleave their own work or drive the scheduler deterministically
+  /// (tests); `threads` does not apply. A sink exception propagates to the
+  /// caller, and the station it came from is not served again.
   bool process_available();
 
   [[nodiscard]] SchedulerStats stats() const;
@@ -187,28 +203,51 @@ class SessionScheduler {
  private:
   struct Station;
 
+  /// What a visit left behind: more work (back to the active list's
+  /// tail), none for now (parked until enqueue/close), or a finished sink.
+  enum class Visit : std::uint8_t { kRequeue, kPark, kFinished };
+
   std::size_t add_station_impl(std::string name,
                                std::shared_ptr<river::SampleSource> source,
                                std::shared_ptr<river::EnsembleSink> sink,
                                StationConfig config);
   std::size_t enqueue(Station& st, std::span<const float> samples);
   void close_internal(Station& st);
-  void process_station(Station& st);
+  void make_ready(Station& st) DR_EXCLUDES(ready_mu_);
+  Station* pop_ready_locked(bool& closes_round) DR_REQUIRES(ready_mu_);
+  Station* next_ready(bool& closes_round) DR_EXCLUDES(ready_mu_);
+  void serve(Station& st, bool closes_round) DR_EXCLUDES(ready_mu_);
+  Visit process_station(Station& st);
   void deliver(Station& st, std::vector<river::Ensemble> ensembles);
+  void lane_loop();
+  void shut_down(std::exception_ptr error) DR_EXCLUDES(ready_mu_);
   void reader_loop(Station& st);
-  void notify_work();
 
   SchedulerOptions options_;
-  std::unique_ptr<common::TaskRunner> runner_;
   std::vector<std::unique_ptr<Station>> stations_;
-  std::vector<std::size_t> runnable_;  ///< scratch: station ids this round
   std::atomic<std::size_t> rounds_{0};
   bool running_ = false;
-  std::atomic<bool> shutdown_{false};  ///< destructor unblocks producers
+  /// Set once (under ready_mu_) by the destructor or a failing lane: lanes
+  /// stop popping and producers stop waiting for room.
+  std::atomic<bool> shutdown_{false};
 
-  common::Mutex work_mu_;
-  common::CondVar work_cv_;
-  std::uint64_t work_epoch_ DR_GUARDED_BY(work_mu_) = 0;
+  // The active list. ready_mu_ is a leaf: it is never held together with a
+  // station mu (or on_round_mu_).
+  common::Mutex ready_mu_;
+  common::CondVar ready_cv_;  ///< parked lanes wait here
+  std::deque<Station*> ready_ DR_GUARDED_BY(ready_mu_);
+  /// Pops left in the current round; 0 = the next pop opens a round.
+  std::size_t round_left_ DR_GUARDED_BY(ready_mu_) = 0;
+  std::size_t unfinished_ DR_GUARDED_BY(ready_mu_) = 0;
+  std::size_t parked_ DR_GUARDED_BY(ready_mu_) = 0;  ///< lanes in wait
+  /// Notifies sent to parked lanes that no lane has woken for yet, so a
+  /// burst of enqueues wakes each parked lane at most once.
+  std::size_t wakeups_ DR_GUARDED_BY(ready_mu_) = 0;
+  std::exception_ptr error_ DR_GUARDED_BY(ready_mu_);
+
+  /// Serializes on_round; taken with no other lock held (stats() then takes
+  /// station locks under it).
+  common::Mutex on_round_mu_;
   std::vector<std::thread> readers_;
 };
 

@@ -4,14 +4,20 @@
 //   1. Routing a station's stream through the scheduler changes nothing:
 //      each sink receives exactly the ensembles EnsembleExtractor::extract
 //      produces for that station's signal, bit-identically, regardless of
-//      worker count or how stations interleave.
+//      lane count or how stations interleave.
 //   2. The ingest queue bound is hard, and drop-oldest loss accounting is
 //      exact: pushed == consumed + dropped + queued at every instant.
 //   3. Live reconfigure through the scheduler equals reconfiguring a
 //      hand-pumped session at the same stream position.
+//   4. run() is work-conserving: a lane stuck in one station's sink never
+//      holds another station back, a sink exception shuts every thread
+//      down, and on_round calls never overlap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -50,6 +56,41 @@ std::vector<float> random_signal_with_events(std::size_t n, unsigned seed) {
   return xs;
 }
 
+/// Polls `flag` until it is set or `timeout` passes; true when it was set.
+bool wait_for_flag(const std::atomic<bool>& flag,
+                   std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Collects ensembles and flags finish(). With a `gate`, the first accept()
+/// blocks until the gate is set (at most 10 s, then records the timeout
+/// and carries on, so a scheduler that holds the gate's setter back fails
+/// the test instead of hanging it).
+class GatedSink final : public river::EnsembleSink {
+ public:
+  explicit GatedSink(const std::atomic<bool>* gate = nullptr) : gate_(gate) {}
+
+  void accept(river::Ensemble ensemble) override {
+    if (gate_ != nullptr && ensembles.empty()) {
+      gate_opened = wait_for_flag(*gate_, std::chrono::seconds(10));
+    }
+    ensembles.push_back(std::move(ensemble));
+  }
+  void finish() override { finished.store(true); }
+
+  std::vector<river::Ensemble> ensembles;
+  std::atomic<bool> finished{false};
+  bool gate_opened = false;
+
+ private:
+  const std::atomic<bool>* gate_;
+};
+
 void expect_same_ensembles(const std::vector<river::Ensemble>& got,
                            const std::vector<river::Ensemble>& want,
                            const std::string& station) {
@@ -78,7 +119,7 @@ TEST(SessionScheduler, MultiStationBitIdenticalToDirectExtraction) {
                           [](const auto& w) { return !w.empty(); }));
 
   core::SchedulerOptions options;
-  options.threads = 2;  // exercise the pool; per-station order is FIFO anyway
+  options.threads = 2;  // two lanes; one lane per station keeps its order
   options.quantum_samples = 1024;
   core::SessionScheduler scheduler(options);
 
@@ -319,4 +360,136 @@ TEST(SessionScheduler, WeightedQuantaSplitServiceProportionally) {
     EXPECT_EQ(st.samples_consumed, kChunks * kChunk) << st.name;
     EXPECT_TRUE(st.finished) << st.name;
   }
+}
+
+TEST(SessionScheduler, BlockedSinkDoesNotHoldOtherStationsBack) {
+  // Station A's sink blocks in its first accept() until station B's sink
+  // has seen finish(). A work-conserving scheduler serves B to completion on
+  // the second lane meanwhile; a per-round barrier would hold B behind A's
+  // unfinished visit until the gate times out.
+  const auto params = small_params();
+  const core::EnsembleExtractor extractor(params);
+  const auto xs_a = random_signal_with_events(60000, 100);
+  const auto xs_b = random_signal_with_events(60000, 101);
+  const auto want_a = extractor.extract(xs_a).ensembles;
+  const auto want_b = extractor.extract(xs_b).ensembles;
+  ASSERT_FALSE(want_a.empty()) << "A must emit for its sink to block";
+
+  core::SchedulerOptions options;
+  options.threads = 2;
+  options.quantum_samples = 1024;
+  core::SessionScheduler scheduler(options);
+  core::StationConfig config;
+  config.params = params;
+  config.queue_capacity_samples = 4096;
+  config.read_chunk_samples = 512;
+  auto sink_b = std::make_shared<GatedSink>();
+  auto sink_a = std::make_shared<GatedSink>(&sink_b->finished);
+  scheduler.add_station(
+      "a", std::make_shared<river::BufferSource>(xs_a, params.sample_rate),
+      sink_a, config);
+  scheduler.add_station(
+      "b", std::make_shared<river::BufferSource>(xs_b, params.sample_rate),
+      sink_b, config);
+  scheduler.run();
+
+  EXPECT_TRUE(sink_a->gate_opened) << "station b waited for station a's lane";
+  EXPECT_TRUE(sink_b->finished.load());
+  expect_same_ensembles(sink_a->ensembles, want_a, "a");
+  expect_same_ensembles(sink_b->ensembles, want_b, "b");
+}
+
+TEST(SessionScheduler, SinkExceptionShutsDownEveryThreadAndRethrows) {
+  // The throwing station's reader is blocked on a full kBlock queue when the
+  // sink throws, and the idle push-fed station (never closed) keeps the
+  // other lane parked: run() can only return if the failure wakes both.
+  const auto params = small_params();
+  constexpr std::size_t kChunk = 512;
+  constexpr std::size_t kCapacity = 2 * kChunk;
+  const auto xs = random_signal_with_events(60000, 5);
+
+  core::SchedulerOptions options;
+  options.threads = 2;
+  auto scheduler = std::make_unique<core::SessionScheduler>(options);
+
+  class ThrowingSink final : public river::EnsembleSink {
+   public:
+    explicit ThrowingSink(const core::SessionScheduler& scheduler)
+        : scheduler_(scheduler) {}
+    void accept(river::Ensemble /*ensemble*/) override {
+      // Throw only once the reader is stuck waiting for queue room.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (scheduler_.stats().stations[0].queued_samples < kCapacity &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      queue_was_full = scheduler_.stats().stations[0].queued_samples ==
+                       kCapacity;
+      throw std::runtime_error("sink failed");
+    }
+    bool queue_was_full = false;
+
+   private:
+    const core::SessionScheduler& scheduler_;
+  };
+
+  core::StationConfig config;
+  config.params = params;
+  config.policy = core::BackpressurePolicy::kBlock;
+  config.queue_capacity_samples = kCapacity;
+  config.read_chunk_samples = kChunk;
+  auto thrower = std::make_shared<ThrowingSink>(*scheduler);
+  scheduler->add_station(
+      "thrower", std::make_shared<river::BufferSource>(xs, params.sample_rate),
+      thrower, config);
+  scheduler->add_station("idle", std::make_shared<river::NullEnsembleSink>(),
+                         config);
+
+  EXPECT_THROW(scheduler->run(), std::runtime_error);
+  EXPECT_TRUE(thrower->queue_was_full);
+  scheduler.reset();  // must not hang on the reader or a lane
+}
+
+TEST(SessionScheduler, OnRoundCallsNeverOverlap) {
+  // Rounds close on whichever lane finishes them, while the other lane keeps
+  // working; the observer itself is serialized.
+  const auto params = small_params();
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::atomic<std::size_t> calls{0};
+  std::vector<std::vector<float>> signals;
+  for (unsigned s = 0; s < 4; ++s) {
+    signals.push_back(random_signal_with_events(30000, 40 + s));
+  }
+
+  core::SchedulerOptions options;
+  options.threads = 2;
+  options.quantum_samples = 1024;
+  options.on_round = [&](const core::SchedulerStats& /*snapshot*/) {
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = max_in_flight.load();
+    while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    calls.fetch_add(1);
+    in_flight.fetch_sub(1);
+  };
+  core::SessionScheduler scheduler(std::move(options));
+  core::StationConfig config;
+  config.params = params;
+  config.queue_capacity_samples = 4096;
+  config.read_chunk_samples = 512;
+  for (std::size_t s = 0; s < signals.size(); ++s) {
+    scheduler.add_station(
+        "st" + std::to_string(s),
+        std::make_shared<river::BufferSource>(signals[s], params.sample_rate),
+        std::make_shared<river::NullEnsembleSink>(), config);
+  }
+  scheduler.run();
+
+  const auto stats = scheduler.stats();
+  EXPECT_GT(stats.rounds, 0U);
+  EXPECT_EQ(calls.load(), stats.rounds);
+  EXPECT_LE(max_in_flight.load(), 1);
 }

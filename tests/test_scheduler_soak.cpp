@@ -10,7 +10,7 @@
 //      pushed == consumed + dropped + queued holds exactly at every round.
 //   3. Aggregate memory: queues + sessions stay within the sum of the
 //      per-station bounds at every round.
-//   4. End-to-end at 16-way concurrency (reader threads + worker pool,
+//   4. End-to-end at 16-way concurrency (reader threads + scheduler lanes,
 //      exercised under ASan in CI): every stream arrives whole, losslessly,
 //      and every sink receives exactly its own station's ensembles.
 #include <gtest/gtest.h>
@@ -75,7 +75,6 @@ TEST(SchedulerSoak, DeficitRoundRobinIsFairAndDropAccountingIsExact) {
   const auto signals = station_signals();
 
   core::SchedulerOptions options;
-  options.threads = 0;  // the shared worker pool — concurrency under ASan
   options.quantum_samples = kQuantum;
   core::SessionScheduler scheduler(std::move(options));
   for (std::size_t s = 0; s < kStations; ++s) {
@@ -90,8 +89,7 @@ TEST(SchedulerSoak, DeficitRoundRobinIsFairAndDropAccountingIsExact) {
 
   // The test drives ingest and rounds itself: each pass tops every queue up
   // to capacity PLUS two extra chunks, so kDropOldest must evict exactly
-  // that overfeed — then runs one scheduling round. Deterministic no matter
-  // how the pool schedules stations within a round.
+  // that overfeed — then runs one scheduling round, serially on this thread.
   std::vector<std::size_t> cursor(kStations, 0);
   std::size_t fairness_rounds = 0;
   std::size_t peak_aggregate = 0;
