@@ -425,6 +425,102 @@ TEST_F(SegmentStoreTest, TornActiveSegmentRecoversValidPrefixAndContinues) {
   EXPECT_EQ(got[3].sequence, 100U);
 }
 
+namespace {
+
+/// The unsealed crash aftermath of the test above, written from the format
+/// constants: 3 complete envelopes, then an envelope header promising 200
+/// bytes followed by only 17 — a 29-byte torn tail. `magic` lets a caller
+/// plant a header the reader cannot recognise.
+void write_torn_active_segment(const fs::path& path,
+                               std::uint32_t magic = river::kSegmentMagic) {
+  std::ofstream out(path, std::ios::binary);
+  std::uint8_t header[river::kSegmentHeaderBytes] = {};
+  std::memcpy(header, &magic, 4);
+  std::memcpy(header + 4, &river::kSegmentVersion, 2);
+  out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const auto frame = river::encode_record(audio_record(i, 40));
+    const auto len = static_cast<std::uint32_t>(frame.size());
+    const double t = static_cast<double>(i);
+    out.write(reinterpret_cast<const char*>(&len), 4);
+    out.write(reinterpret_cast<const char*>(&t), 8);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+  }
+  const std::uint32_t len = 200;
+  const double t = 3.0;
+  out.write(reinterpret_cast<const char*>(&len), 4);
+  out.write(reinterpret_cast<const char*>(&t), 8);
+  const std::vector<char> garbage(17, '\x42');
+  out.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
+}
+
+}  // namespace
+
+TEST_F(SegmentStoreTest, ReadContractTornActiveTornHeaderAndSealedDamage) {
+  // The reader contract, pinned on stores no log has reopened (so nothing
+  // recovered them): a torn active tail ends a cursor cleanly with torn()
+  // and the unreadable byte count; an unreadable active header loses the
+  // whole file; damage in a sealed segment throws WireError. The replay
+  // source reports all three as an unclean end.
+  const auto torn_dir = temp_file("torn");
+  fs::create_directories(torn_dir);
+  write_torn_active_segment(torn_dir / "seg-000000.drs");
+
+  const auto header_dir = temp_file("torn_header");
+  fs::create_directories(header_dir);
+  write_torn_active_segment(header_dir / "seg-000000.drs", 0x58585858);
+  const auto header_file_bytes = fs::file_size(header_dir / "seg-000000.drs");
+
+  const auto damaged_dir = temp_file("damaged");
+  {
+    river::SegmentedRecordLog log(damaged_dir);
+    river::AudioSegmentArchiver archiver(log, 1000.0, 100);
+    archiver.push(ramp(1000));
+    archiver.finish();
+    log.close();
+  }
+  {  // the byte-512 payload flip of DamagedSealedSegmentSurfacesAsLostNotCrash
+    river::SegmentStoreReader probe(damaged_dir);
+    std::fstream f(damaged_dir / probe.segments()[0].name,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(512);
+    const char x = 0x5A;
+    f.write(&x, 1);
+  }
+
+  {
+    river::SegmentStoreReader reader(torn_dir);
+    auto cursor = reader.seek(0.0);
+    const auto got = drain_cursor(cursor);
+    ASSERT_EQ(got.size(), 3U);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(got[i].sequence, i);
+    }
+    EXPECT_TRUE(cursor.torn());
+    EXPECT_EQ(cursor.lost_bytes(), 29U) << "12-byte envelope + 17 bytes";
+  }
+  {
+    river::SegmentStoreReader reader(header_dir);
+    auto cursor = reader.seek(0.0);
+    EXPECT_TRUE(drain_cursor(cursor).empty());
+    EXPECT_TRUE(cursor.torn());
+    EXPECT_EQ(cursor.lost_bytes(), header_file_bytes);
+  }
+  {
+    river::SegmentStoreReader reader(damaged_dir);
+    auto cursor = reader.seek(0.0);
+    EXPECT_THROW((void)drain_cursor(cursor), river::WireError);
+  }
+
+  for (const auto& dir : {torn_dir, header_dir, damaged_dir}) {
+    river::SegmentStoreSource source(dir);
+    (void)drain(source, 256);
+    EXPECT_TRUE(source.exhausted()) << dir.filename();
+    EXPECT_FALSE(source.clean()) << dir.filename();
+  }
+}
+
 TEST_F(SegmentStoreTest, AdoptsSealedButUnmanifestedSegmentOnReopen) {
   // Crash window between footer write and manifest publish: on reopen the
   // orphan (index >= manifest next) is adopted, not deleted.
