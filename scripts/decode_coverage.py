@@ -30,6 +30,9 @@ from pathlib import Path
 DECODER_FILES = [
     "src/river/wire.cpp",
     "src/river/bitpack.hpp",
+    "src/river/segment_format.hpp",
+    "src/river/segment_format.cpp",
+    "src/river/segment_reader.cpp",
     "src/river/segment_store.cpp",
     "src/river/record_log.cpp",
     "src/dsp/wav.cpp",

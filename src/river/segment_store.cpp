@@ -16,10 +16,11 @@
 
 #include "common/checked.hpp"
 #include "common/contracts.hpp"
-#include "river/crc_slices.hpp"
+#include "river/segment_format.hpp"
 #include "river/wire.hpp"
 
 namespace dynriver::river {
+using namespace detail;
 
 namespace {
 
@@ -34,37 +35,6 @@ void put_raw(std::uint8_t* dst, T value) {
   std::memcpy(dst, &value, sizeof(T));
 }
 
-template <typename T>
-T get_raw(const std::uint8_t* src) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  std::memcpy(&value, src, sizeof(T));
-  return value;
-}
-
-std::string segment_name(std::uint64_t index) {
-  std::array<char, 32> buf;
-  std::snprintf(buf.data(), buf.size(), "seg-%06" PRIu64 ".drs", index);
-  return buf.data();
-}
-
-bool parse_segment_name(const std::string& name, std::uint64_t& index) {
-  constexpr std::string_view kPrefix = "seg-";
-  constexpr std::string_view kSuffix = ".drs";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) != 0) {
-    return false;
-  }
-  index = 0;
-  for (std::size_t i = kPrefix.size(); i < name.size() - kSuffix.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    index = index * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
-
 std::array<std::uint8_t, kSegmentHeaderBytes> segment_header_bytes() {
   std::array<std::uint8_t, kSegmentHeaderBytes> h{};
   put_raw<std::uint32_t>(h.data(), kSegmentMagic);
@@ -72,22 +42,6 @@ std::array<std::uint8_t, kSegmentHeaderBytes> segment_header_bytes() {
   put_raw<std::uint16_t>(h.data() + 6, 0);  // flags
   return h;
 }
-
-/// Fixed-offset view of the 52-byte footer (see segment_store.hpp layout).
-struct SegmentFooter {
-  std::uint64_t frames = 0;
-  std::uint64_t payload_end = 0;
-  std::uint32_t index_count = 0;
-  std::uint16_t version = 0;
-  std::uint16_t flags = 0;
-  double t_min = 0.0;
-  double t_max = 0.0;
-  std::uint32_t payload_crc = 0;
-  std::uint32_t footer_crc = 0;
-};
-
-constexpr std::size_t kFooterCrcOffset = 44;
-constexpr std::size_t kIndexEntryBytes = 16;
 
 void encode_footer_prefix(std::uint8_t* dst, const SegmentFooter& f) {
   put_raw<std::uint64_t>(dst + 0, f.frames);
@@ -98,135 +52,6 @@ void encode_footer_prefix(std::uint8_t* dst, const SegmentFooter& f) {
   put_raw<double>(dst + 24, f.t_min);
   put_raw<double>(dst + 32, f.t_max);
   put_raw<std::uint32_t>(dst + 40, f.payload_crc);
-}
-
-bool set_error(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-bool read_exact(std::ifstream& in, std::uint8_t* dst, std::size_t n) {
-  in.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-  return std::cmp_equal(in.gcount(), n);
-}
-
-/// Parse and sanity-check the footer of a sealed segment file. Returns false
-/// (with `error` filled) for anything that is not a well-formed sealed
-/// segment — including a torn active segment, which has no footer.
-bool load_segment_footer(const fs::path& path, SegmentFooter& out,
-                         std::string* error) {
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  if (ec) return set_error(error, "cannot stat " + path.string());
-  if (size < kSegmentHeaderBytes + kSegmentFooterBytes) {
-    return set_error(error, path.string() + ": too small for a sealed segment");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error(error, "cannot open " + path.string());
-  std::array<std::uint8_t, kSegmentHeaderBytes> header;
-  if (!read_exact(in, header.data(), header.size())) {
-    return set_error(error, path.string() + ": short header read");
-  }
-  if (get_raw<std::uint32_t>(header.data()) != kSegmentMagic ||
-      get_raw<std::uint16_t>(header.data() + 4) != kSegmentVersion) {
-    return set_error(error, path.string() + ": bad segment header");
-  }
-  in.seekg(static_cast<std::streamoff>(size - kSegmentFooterBytes));
-  std::array<std::uint8_t, kSegmentFooterBytes> raw;
-  if (!read_exact(in, raw.data(), raw.size())) {
-    return set_error(error, path.string() + ": short footer read");
-  }
-  if (get_raw<std::uint32_t>(raw.data() + 48) != kSegmentFooterMagic) {
-    return set_error(error, path.string() + ": no footer magic (unsealed?)");
-  }
-  SegmentFooter f;
-  f.frames = get_raw<std::uint64_t>(raw.data() + 0);
-  f.payload_end = get_raw<std::uint64_t>(raw.data() + 8);
-  f.index_count = get_raw<std::uint32_t>(raw.data() + 16);
-  f.version = get_raw<std::uint16_t>(raw.data() + 20);
-  f.flags = get_raw<std::uint16_t>(raw.data() + 22);
-  f.t_min = get_raw<double>(raw.data() + 24);
-  f.t_max = get_raw<double>(raw.data() + 32);
-  f.payload_crc = get_raw<std::uint32_t>(raw.data() + 40);
-  f.footer_crc = get_raw<std::uint32_t>(raw.data() + kFooterCrcOffset);
-  if (f.version != kSegmentVersion) {
-    return set_error(error, path.string() + ": unsupported segment version");
-  }
-  // The writer only ever stamps finite, ordered times (append enforces it),
-  // so anything else is corruption; letting it through would poison the
-  // recovered last-time watermark and the manifest's ordering invariants.
-  if (!std::isfinite(f.t_min) || !std::isfinite(f.t_max) ||
-      f.t_min > f.t_max) {
-    return set_error(error, path.string() + ": footer time range invalid");
-  }
-  // index_count is u32, so `tail` tops out near 2^36 and cannot wrap; the
-  // naive `payload_end + tail == size` sum could, letting a hostile
-  // payload_end near 2^64 satisfy the equation and send later reads to
-  // offsets far past the file.
-  const std::uint64_t tail =
-      std::uint64_t{f.index_count} * kIndexEntryBytes + kSegmentFooterBytes;
-  if (f.payload_end < kSegmentHeaderBytes || tail > size ||
-      f.payload_end != size - tail) {
-    return set_error(error, path.string() + ": footer geometry mismatch");
-  }
-  out = f;
-  return true;
-}
-
-/// Load (and CRC-check) the sparse index region of a sealed segment.
-bool load_segment_index(const fs::path& path, const SegmentFooter& footer,
-                        std::vector<std::pair<double, std::uint64_t>>& out,
-                        std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error(error, "cannot open " + path.string());
-  in.seekg(static_cast<std::streamoff>(footer.payload_end));
-  const std::size_t index_bytes =
-      std::size_t{footer.index_count} * kIndexEntryBytes;
-  std::vector<std::uint8_t> tail(index_bytes + kSegmentFooterBytes);
-  if (!read_exact(in, tail.data(), tail.size())) {
-    return set_error(error, path.string() + ": short index read");
-  }
-  const std::uint32_t crc = crc32c(tail.data(), index_bytes + kFooterCrcOffset);
-  if (crc != footer.footer_crc) {
-    return set_error(error, path.string() + ": footer checksum mismatch");
-  }
-  out.clear();
-  out.reserve(footer.index_count);
-  for (std::size_t i = 0; i < footer.index_count; ++i) {
-    const std::uint8_t* e = tail.data() + i * kIndexEntryBytes;
-    const auto t = get_raw<double>(e);
-    const auto offset = get_raw<std::uint64_t>(e + 8);
-    // Validate here, on the read path — not only in verify(). An offset past
-    // payload_end once made the prefetcher's `payload_end - start` window
-    // size wrap into a huge resize; unsorted or NaN stamps would break the
-    // seek's upper_bound probe.
-    if (offset < kSegmentHeaderBytes || offset >= footer.payload_end ||
-        std::isnan(t) || (!out.empty() && t < out.back().first)) {
-      return set_error(error, path.string() + ": index entry out of bounds");
-    }
-    out.emplace_back(t, offset);
-  }
-  return true;
-}
-
-// A reader guesses the active file's name from its manifest snapshot's next
-// index — but a compaction racing that snapshot hands the very same index to
-// a *merged* segment of older records. Telling the two apart needs the file
-// itself: a valid sealed footer whose span starts before the snapshot's
-// sealed tail is merged old data, and reading it as the live tail would
-// re-emit records with time running backwards. Returns false for that case
-// (skip the file). Otherwise the file is a plausible continuation: either
-// genuinely active (*sealed_payload_end = 0) or sealed after the snapshot
-// (*sealed_payload_end = its payload end, so the caller stops before the
-// index/footer bytes instead of reporting them as a torn tail).
-bool probe_presumed_active(const fs::path& path, double sealed_t_max,
-                           std::uint64_t* sealed_payload_end) {
-  *sealed_payload_end = 0;
-  SegmentFooter footer;
-  if (!load_segment_footer(path, footer, nullptr)) return true;
-  if (footer.t_min < sealed_t_max) return false;
-  *sealed_payload_end = footer.payload_end;
-  return true;
 }
 
 void fsync_directory(const fs::path& dir) {
@@ -241,87 +66,6 @@ void fsync_file(std::FILE* f, const std::string& what) {
   if (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0) {
     throw std::runtime_error("segment store sync failed: " + what + ": " +
                              std::strerror(errno));
-  }
-}
-
-constexpr std::string_view kManifestHeader = "dynriver-segment-store v1";
-
-}  // namespace
-
-std::uint32_t crc32c(const std::uint8_t* data, std::size_t len,
-                     std::uint32_t seed) {
-  return detail::CrcSlices<0x82F63B78u>::update(seed ^ 0xFFFFFFFFu, data, len) ^
-         0xFFFFFFFFu;
-}
-
-// ---------------------------------------------------------------------------
-// Manifest
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Parse MANIFEST; absent file yields an empty store. Throws on damage —
-/// recovery must never guess at the sealed list.
-void read_manifest(const fs::path& dir, std::vector<SegmentInfo>& sealed,
-                   std::uint64_t& next_index) {
-  sealed.clear();
-  next_index = 0;
-  const auto path = dir / "MANIFEST";
-  std::ifstream in(path);
-  if (!in) return;  // fresh store
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    throw std::runtime_error("bad segment store manifest: " + path.string());
-  }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("next ", 0) == 0) {
-      next_index = std::strtoull(line.c_str() + 5, nullptr, 10);
-      continue;
-    }
-    if (line.rfind("seg ", 0) == 0) {
-      std::array<char, 64> name{};
-      unsigned long long frames = 0;
-      unsigned long long bytes = 0;
-      double t_min = 0.0;
-      double t_max = 0.0;
-      unsigned crc = 0;
-      if (std::sscanf(line.c_str(), "seg %63s %llu %llu %la %la %x",
-                      name.data(), &frames, &bytes, &t_min, &t_max,
-                      &crc) != 6) {
-        throw std::runtime_error("bad manifest line in " + path.string() +
-                                 ": " + line);
-      }
-      SegmentInfo info;
-      info.name = name.data();
-      info.frames = frames;
-      info.bytes = bytes;
-      info.t_min = t_min;
-      info.t_max = t_max;
-      info.payload_crc = static_cast<std::uint32_t>(crc);
-      info.sealed = true;
-      // The manifest is untrusted bytes like any other store file. A name
-      // that is not a well-formed segment name would let a hostile MANIFEST
-      // point readers at arbitrary paths ("seg ../../etc/passwd ..."), and
-      // non-monotone or NaN time spans break the cursor's lower_bound seek
-      // and its "nothing later fits" early-out.
-      std::uint64_t seg_index = 0;
-      if (!parse_segment_name(info.name, seg_index)) {
-        throw std::runtime_error("bad segment name in " + path.string() +
-                                 ": " + info.name);
-      }
-      if (!std::isfinite(info.t_min) || !std::isfinite(info.t_max) ||
-          info.t_min > info.t_max ||
-          (!sealed.empty() && (info.t_min < sealed.back().t_min ||
-                               info.t_max < sealed.back().t_max))) {
-        throw std::runtime_error("non-monotone segment times in " +
-                                 path.string() + ": " + info.name);
-      }
-      sealed.push_back(std::move(info));
-      continue;
-    }
-    throw std::runtime_error("bad manifest line in " + path.string() + ": " +
-                             line);
   }
 }
 
@@ -986,619 +730,6 @@ void SegmentedRecordLog::Maintenance::run() {
     while (!stop_ &&
            cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SegmentStoreReader
-// ---------------------------------------------------------------------------
-
-SegmentStoreReader::SegmentStoreReader(const std::filesystem::path& dir)
-    : dir_(dir) {
-  std::uint64_t next_index = 0;
-  read_manifest(dir_, sealed_, next_index);
-  // The writer's active segment, if one is growing right now.
-  const auto active = segment_name(next_index);
-  if (fs::exists(dir_ / active)) active_name_ = active;
-}
-
-std::vector<SegmentInfo> SegmentStoreReader::segments() const {
-  auto out = sealed_;
-  if (!active_name_.empty()) {
-    std::error_code ec;
-    const auto size = fs::file_size(dir_ / active_name_, ec);
-    SegmentInfo info;
-    info.name = active_name_;
-    info.bytes =
-        (!ec && size > kSegmentHeaderBytes) ? size - kSegmentHeaderBytes : 0;
-    info.sealed = false;
-    out.push_back(std::move(info));
-  }
-  return out;
-}
-
-bool SegmentStoreReader::verify(std::string* error) const {
-  for (const auto& s : sealed_) {
-    const auto path = dir_ / s.name;
-    SegmentFooter footer;
-    if (!load_segment_footer(path, footer, error)) return false;
-    if (footer.frames != s.frames || footer.payload_crc != s.payload_crc ||
-        footer.payload_end - kSegmentHeaderBytes != s.bytes) {
-      return set_error(error, path.string() + ": footer disagrees with manifest");
-    }
-    std::vector<std::pair<double, std::uint64_t>> index;
-    if (!load_segment_index(path, footer, index, error)) return false;
-    for (const auto& [t, offset] : index) {
-      if (offset < kSegmentHeaderBytes || offset >= footer.payload_end ||
-          std::isnan(t)) {
-        return set_error(error, path.string() + ": index entry out of bounds");
-      }
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return set_error(error, "cannot open " + path.string());
-    in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
-    std::uint32_t crc = 0;
-    std::uint64_t left = footer.payload_end - kSegmentHeaderBytes;
-    std::array<std::uint8_t, 64 * 1024> chunk;
-    while (left > 0) {
-      const auto n = checked::narrow<std::size_t, std::runtime_error>(
-          std::min<std::uint64_t>(left, chunk.size()), "verify chunk size");
-      if (!read_exact(in, chunk.data(), n)) {
-        return set_error(error, path.string() + ": short payload read");
-      }
-      crc = crc32c(chunk.data(), n, crc);
-      left -= n;
-    }
-    if (crc != footer.payload_crc) {
-      return set_error(error, path.string() + ": payload checksum mismatch");
-    }
-  }
-  if (error != nullptr) error->clear();
-  return true;
-}
-
-SegmentStoreReader::Cursor SegmentStoreReader::seek(double t0, double t1) {
-  return Cursor(this, t0, t1);
-}
-
-bool SegmentStoreReader::Cursor::open_next_segment() {
-  if (!positioned_) {
-    positioned_ = true;
-    // O(log n): first sealed segment whose span can reach t0.
-    const auto it = std::lower_bound(
-        store_->sealed_.begin(), store_->sealed_.end(), t0_,
-        [](const SegmentInfo& s, double t) { return s.t_max < t; });
-    seg_i_ = checked::narrow<std::size_t, std::runtime_error>(
-        it - store_->sealed_.begin(), "segment cursor position");
-  }
-  while (seg_i_ < store_->sealed_.size()) {
-    const SegmentInfo& s = store_->sealed_[seg_i_];
-    if (s.t_min >= t1_) return false;  // time is monotone: nothing later fits
-    // The manifest is the truth, but an in-flight compaction may still hold
-    // the file under its temp name and rename it at any moment. Try both
-    // names, twice, so a rename landing between any two of our steps cannot
-    // fail the cursor spuriously. (Retention/compaction that *deletes* a
-    // snapshot's files still invalidates the cursor — see the header.)
-    const auto final_path = store_->dir_ / s.name;
-    const auto tmp_path = fs::path(final_path.string() + ".tmp");
-    fs::path path;
-    SegmentFooter footer;
-    std::string err;
-    bool opened_file = false;
-    for (int attempt = 0; attempt < 2 && !opened_file; ++attempt) {
-      for (const auto& candidate : {final_path, tmp_path}) {
-        std::string e;
-        if (!load_segment_footer(candidate, footer, &e)) {
-          if (err.empty()) err = e;
-          continue;
-        }
-        file_.clear();
-        file_.open(candidate, std::ios::binary);
-        if (!file_) continue;  // renamed away between footer load and open
-        path = candidate;
-        opened_file = true;
-        break;
-      }
-    }
-    if (!opened_file) throw WireError("segment store: " + err);
-    ++store_->opened_;
-    ++seg_i_;
-    in_active_ = false;
-    pos_ = kSegmentHeaderBytes;
-    end_ = footer.payload_end;
-    if (s.t_min < t0_ && footer.index_count > 0) {
-      // Sparse-index probe: start the scan at the last entry at or before
-      // t0 instead of the head of the segment.
-      std::vector<std::pair<double, std::uint64_t>> index;
-      if (!load_segment_index(path, footer, index, &err)) {
-        throw WireError("segment store: " + err);
-      }
-      auto it = std::upper_bound(
-          index.begin(), index.end(), t0_,
-          [](double t, const std::pair<double, std::uint64_t>& e) {
-            return t < e.first;
-          });
-      if (it != index.begin()) pos_ = (*std::prev(it)).second;
-    }
-    file_.seekg(static_cast<std::streamoff>(pos_));
-    return true;
-  }
-  if (tried_active_ || store_->active_name_.empty()) return false;
-  tried_active_ = true;
-  const auto path = store_->dir_ / store_->active_name_;
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  if (ec || size <= kSegmentHeaderBytes) return false;
-  const double sealed_t_max = store_->sealed_.empty()
-                                  ? -std::numeric_limits<double>::infinity()
-                                  : store_->sealed_.back().t_max;
-  std::uint64_t sealed_end = 0;
-  if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
-    return false;  // a racing compaction reused the index: merged old data
-  }
-  file_.open(path, std::ios::binary);
-  if (!file_) return false;  // writer may have just sealed+rotated it
-  ++store_->opened_;
-  std::array<std::uint8_t, kSegmentHeaderBytes> header;
-  if (!read_exact(file_, header.data(), header.size()) ||
-      get_raw<std::uint32_t>(header.data()) != kSegmentMagic) {
-    // Header bytes still in the writer's buffer: nothing readable yet.
-    file_.close();
-    torn_ = true;
-    lost_bytes_ = size;
-    return false;
-  }
-  // sealed_end != 0: the writer sealed this segment after our snapshot —
-  // read exactly its payload (sealed semantics: damage throws, not torn).
-  in_active_ = sealed_end == 0;
-  pos_ = kSegmentHeaderBytes;
-  end_ = sealed_end != 0 ? sealed_end : size;  // bounded snapshot of the tail
-  return true;
-}
-
-bool SegmentStoreReader::Cursor::fail_torn() {
-  torn_ = true;
-  lost_bytes_ = checked::narrow<std::size_t, std::runtime_error>(
-      end_ - pos_, "torn tail size");
-  done_ = true;
-  return false;
-}
-
-// Pull the next in-range frame's bytes into frame_buf_ (stamp in pending_t_)
-// without consuming it: pos_ stays at the envelope until commit_frame(), so a
-// decode failure reports lost_bytes_ from the right spot. False at end of
-// range or torn tail (done_ set); throws on sealed-segment damage.
-bool SegmentStoreReader::Cursor::fetch_frame(std::uint32_t& len_out) {
-  if (done_) return false;
-  std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-  for (;;) {
-    if (!file_.is_open()) {
-      if (!open_next_segment()) {
-        done_ = true;
-        return false;
-      }
-    }
-    if (pos_ + kEnvelopeHeaderBytes > end_) {
-      if (in_active_ && pos_ < end_) return fail_torn();
-      file_.close();
-      continue;
-    }
-    if (!read_exact(file_, env.data(), env.size())) {
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: short envelope read");
-    }
-    const auto len = get_raw<std::uint32_t>(env.data());
-    const auto t = get_raw<double>(env.data() + 4);
-    if (len == 0 || len > kMaxSegmentFrameBytes ||
-        pos_ + kEnvelopeHeaderBytes + len > end_) {
-      // Mid-envelope snapshot of the writer (or its in-flight tail after a
-      // concurrent seal): everything from here on is not yet readable.
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: corrupt envelope");
-    }
-    ++scanned_;
-    if (t >= t1_) {  // time is monotone: the range is exhausted
-      done_ = true;
-      return false;
-    }
-    if (t < t0_) {  // skip without decoding
-      pos_ += kEnvelopeHeaderBytes + len;
-      file_.seekg(static_cast<std::streamoff>(pos_));
-      continue;
-    }
-    frame_buf_.resize(len);
-    if (!read_exact(file_, frame_buf_.data(), len)) {
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: short frame read");
-    }
-    pending_t_ = t;
-    len_out = len;
-    return true;
-  }
-}
-
-void SegmentStoreReader::Cursor::commit_frame(std::uint32_t len) {
-  pos_ += kEnvelopeHeaderBytes + len;
-  time_ = pending_t_;
-}
-
-bool SegmentStoreReader::Cursor::next(Record& out) {
-  std::uint32_t len = 0;
-  if (!fetch_frame(len)) return false;
-  try {
-    std::size_t consumed = 0;
-    out = decode_record(frame_buf_.data(), len, consumed);
-    if (consumed != len) throw WireError("trailing bytes in envelope");
-  } catch (const WireError&) {
-    if (in_active_) return fail_torn();
-    throw;
-  }
-  commit_frame(len);
-  return true;
-}
-
-bool SegmentStoreReader::Cursor::next_view(RecordView& out) {
-  std::uint32_t len = 0;
-  if (!fetch_frame(len)) return false;
-  try {
-    std::size_t consumed = 0;
-    out = decode_record_view(frame_buf_.data(), len, consumed, scratch_);
-    if (consumed != len) throw WireError("trailing bytes in envelope");
-  } catch (const WireError&) {
-    if (in_active_) return fail_torn();
-    throw;
-  }
-  commit_frame(len);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// SegmentPrefetcher
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-/// Background segment loader for prefetching replay. One thread walks the
-/// same segment sequence a Cursor would — sealed segments in manifest order
-/// from the first overlapping [t0, t1), then the active tail — and reads each
-/// segment's payload region into one in-memory window, one segment ahead of
-/// the consumer. The hand-off queue is one window deep and consumed buffers
-/// are recycled back to the loader, so the steady state is double-buffered
-/// with no allocation. The destructor joins the thread however early the
-/// consumer stops.
-class SegmentPrefetcher {
- public:
-  struct Window {
-    std::vector<std::uint8_t> bytes;  ///< file contents [base, base+size)
-    std::uint64_t base = 0;           ///< file offset of bytes[0]
-    bool active = false;              ///< from the unsealed active segment
-    bool header_torn = false;         ///< active header unreadable: all torn
-  };
-
-  SegmentPrefetcher(const SegmentStoreReader& reader, double t0, double t1)
-      : reader_(reader), t0_(t0), t1_(t1) {
-    thread_ = std::thread([this] { run(); });
-  }
-
-  ~SegmentPrefetcher() {
-    {
-      const common::LockGuard lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  SegmentPrefetcher(const SegmentPrefetcher&) = delete;
-  SegmentPrefetcher& operator=(const SegmentPrefetcher&) = delete;
-
-  /// Blocks for the next window; false at the end of the segment sequence.
-  /// Rethrows a loader-side failure (missing sealed segment file, ...).
-  [[nodiscard]] bool next(Window& out) {
-    common::UniqueLock lock(mu_);
-    while (!ready_.has_value() && !done_) cv_.wait(lock);
-    if (ready_.has_value()) {
-      out = std::move(*ready_);
-      ready_.reset();
-      cv_.notify_all();  // free the loader's slot
-      return true;
-    }
-    if (error_ != nullptr) std::rethrow_exception(error_);
-    return false;
-  }
-
-  /// Return a drained window's buffer for reuse by the loader.
-  void recycle(std::vector<std::uint8_t>&& buf) {
-    const common::LockGuard lock(mu_);
-    spare_ = std::move(buf);
-  }
-
- private:
-  [[nodiscard]] bool stopped() const {
-    const common::LockGuard lock(mu_);
-    return stop_;
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> take_buffer() {
-    const common::LockGuard lock(mu_);
-    return std::move(spare_);
-  }
-
-  /// Hand a window to the consumer once the slot frees; false when stopping.
-  [[nodiscard]] bool emit(Window&& w) {
-    common::UniqueLock lock(mu_);
-    while (ready_.has_value() && !stop_) cv_.wait(lock);
-    if (stop_) return false;
-    ready_ = std::move(w);
-    cv_.notify_all();
-    return true;
-  }
-
-  void run() {
-    try {
-      const auto segs = reader_.segments();  // snapshot, like a cursor's
-      std::size_t n_sealed = 0;
-      while (n_sealed < segs.size() && segs[n_sealed].sealed) ++n_sealed;
-
-      // O(log n): first sealed segment whose span can reach t0.
-      const auto begin = segs.begin();
-      const auto it = std::lower_bound(
-          begin, begin + static_cast<std::ptrdiff_t>(n_sealed), t0_,
-          [](const SegmentInfo& s, double t) { return s.t_max < t; });
-      bool hit_t1 = false;
-      for (auto i = checked::narrow<std::size_t, std::runtime_error>(
-               it - begin, "prefetch start segment");
-           i < n_sealed; ++i) {
-        if (stopped()) return;
-        const SegmentInfo& s = segs[i];
-        if (s.t_min >= t1_) {  // time is monotone: nothing later fits
-          hit_t1 = true;
-          break;
-        }
-        if (!load_sealed(s)) return;
-      }
-      const double sealed_t_max =
-          n_sealed > 0 ? segs[n_sealed - 1].t_max
-                       : -std::numeric_limits<double>::infinity();
-      if (!hit_t1 && n_sealed < segs.size() &&
-          !load_active(segs[n_sealed], sealed_t_max)) {
-        return;
-      }
-    } catch (...) {
-      const common::LockGuard lock(mu_);
-      error_ = std::current_exception();
-    }
-    {
-      const common::LockGuard lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  /// Load one sealed segment's payload window; false when stopping.
-  [[nodiscard]] bool load_sealed(const SegmentInfo& s) {
-    // Same dual-name retry as Cursor::open_next_segment: an in-flight
-    // compaction may still hold the file under its temp name.
-    const auto final_path = reader_.directory() / s.name;
-    const auto tmp_path = fs::path(final_path.string() + ".tmp");
-    SegmentFooter footer;
-    fs::path path;
-    std::string err;
-    bool opened_file = false;
-    std::ifstream in;
-    for (int attempt = 0; attempt < 2 && !opened_file; ++attempt) {
-      for (const auto& candidate : {final_path, tmp_path}) {
-        std::string e;
-        if (!load_segment_footer(candidate, footer, &e)) {
-          if (err.empty()) err = e;
-          continue;
-        }
-        in.clear();
-        in.open(candidate, std::ios::binary);
-        if (!in) continue;  // renamed away between footer load and open
-        path = candidate;
-        opened_file = true;
-        break;
-      }
-    }
-    if (!opened_file) throw WireError("segment store: " + err);
-
-    std::uint64_t start = kSegmentHeaderBytes;
-    if (s.t_min < t0_ && footer.index_count > 0) {
-      // Sparse-index probe: load only from the last entry at or before t0.
-      std::vector<std::pair<double, std::uint64_t>> index;
-      if (!load_segment_index(path, footer, index, &err)) {
-        throw WireError("segment store: " + err);
-      }
-      const auto pit = std::upper_bound(
-          index.begin(), index.end(), t0_,
-          [](double t, const std::pair<double, std::uint64_t>& e) {
-            return t < e.first;
-          });
-      if (pit != index.begin()) start = (*std::prev(pit)).second;
-    }
-
-    Window w;
-    w.bytes = take_buffer();
-    w.base = start;
-    // start <= payload_end: it is either the header size (footer geometry
-    // enforces payload_end >= that) or a validated sparse-index offset.
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        footer.payload_end - start, "segment window size"));
-    in.seekg(static_cast<std::streamoff>(start));
-    if (!read_exact(in, w.bytes.data(), w.bytes.size())) {
-      throw WireError("segment store: short payload read in " + path.string());
-    }
-    return emit(std::move(w));
-  }
-
-  /// Load the active segment's readable prefix; false when stopping.
-  [[nodiscard]] bool load_active(const SegmentInfo& s, double sealed_t_max) {
-    const auto path = reader_.directory() / s.name;
-    std::error_code ec;
-    const auto size = fs::file_size(path, ec);
-    if (ec || size <= kSegmentHeaderBytes) return true;  // nothing readable
-    std::uint64_t sealed_end = 0;
-    if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
-      return true;  // a racing compaction reused the index: merged old data
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return true;  // writer may have just sealed+rotated it
-    std::array<std::uint8_t, kSegmentHeaderBytes> header;
-    Window w;
-    // sealed_end != 0: sealed after our snapshot — read exactly its payload
-    // with sealed semantics (a decode failure is loss, not a torn tail).
-    w.active = sealed_end == 0;
-    if (!read_exact(in, header.data(), header.size()) ||
-        get_raw<std::uint32_t>(header.data()) != kSegmentMagic) {
-      // Header bytes still in the writer's buffer: nothing readable yet.
-      w.header_torn = true;
-      w.active = true;
-      return emit(std::move(w));
-    }
-    const std::uint64_t end = sealed_end != 0 ? sealed_end : size;
-    w.bytes = take_buffer();
-    w.base = kSegmentHeaderBytes;
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        end - kSegmentHeaderBytes, "active window size"));
-    // The file may be growing under us; the statted size is our bounded
-    // snapshot of the tail, exactly like a cursor's.
-    in.read(reinterpret_cast<char*>(w.bytes.data()),
-            static_cast<std::streamsize>(w.bytes.size()));
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        in.gcount(), "active window read size"));
-    return emit(std::move(w));
-  }
-
-  const SegmentStoreReader& reader_;
-  const double t0_;
-  const double t1_;
-  mutable common::Mutex mu_;
-  common::CondVar cv_;
-  std::optional<Window> ready_ DR_GUARDED_BY(mu_);
-  std::vector<std::uint8_t> spare_ DR_GUARDED_BY(mu_);
-  std::exception_ptr error_ DR_GUARDED_BY(mu_);
-  bool done_ DR_GUARDED_BY(mu_) = false;
-  bool stop_ DR_GUARDED_BY(mu_) = false;
-  std::thread thread_;  ///< started in ctor, joined in dtor only
-};
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// SegmentStoreSource
-// ---------------------------------------------------------------------------
-
-SegmentStoreSource::SegmentStoreSource(const std::filesystem::path& dir,
-                                       double t0, double t1,
-                                       std::uint32_t subtype)
-    : SegmentStoreSource(dir, ReplayOptions{t0, t1, subtype, true}) {}
-
-SegmentStoreSource::SegmentStoreSource(const std::filesystem::path& dir,
-                                       ReplayOptions options)
-    : RecordSampleSource(options.subtype),
-      reader_(std::make_unique<SegmentStoreReader>(dir)),
-      cursor_(reader_->seek(options.t0, options.t1)),
-      options_(options) {
-  if (options_.prefetch) {
-    prefetcher_ = std::make_unique<detail::SegmentPrefetcher>(
-        *reader_, options_.t0, options_.t1);
-  }
-}
-
-SegmentStoreSource::~SegmentStoreSource() = default;  // joins the prefetcher
-
-RecordSampleSource::Next SegmentStoreSource::next_record(Record& rec) {
-  try {
-    if (cursor_.next(rec)) return Next::kRecord;
-    return cursor_.torn() ? Next::kLost : Next::kEnd;
-  } catch (const WireError&) {
-    return Next::kLost;  // damaged sealed segment; verify() pinpoints it
-  }
-}
-
-bool SegmentStoreSource::classify_view(const RecordView& view,
-                                       FloatVec& pending) {
-  ++records_in_;
-  if (view.type == RecordType::kOpenScope && view.scope_type == kScopeClip) {
-    rate_ = view.attr_double(kAttrSampleRate, rate_);
-  } else if (view.type == RecordType::kData && view.subtype == subtype() &&
-             view.is_float()) {
-    if (rate_ == 0.0) rate_ = view.attr_double(kAttrSampleRate, 0.0);
-    pending.assign(view.floats.begin(), view.floats.end());
-    return true;
-  }
-  return false;
-}
-
-RecordSampleSource::Next SegmentStoreSource::next_audio(FloatVec& pending) {
-  if (prefetcher_ != nullptr) return next_audio_prefetched(pending);
-  // Synchronous path: the same scan through the cursor's allocation-free
-  // view — pending reuses its capacity, the cursor its buffers.
-  RecordView view;
-  for (;;) {
-    try {
-      if (!cursor_.next_view(view)) {
-        return cursor_.torn() ? Next::kLost : Next::kEnd;
-      }
-    } catch (const WireError&) {
-      return Next::kLost;  // damaged sealed segment; verify() pinpoints it
-    }
-    if (classify_view(view, pending)) return Next::kRecord;
-  }
-}
-
-RecordSampleSource::Next SegmentStoreSource::next_audio_prefetched(
-    FloatVec& pending) {
-  for (;;) {
-    if (!have_window_) {
-      detail::SegmentPrefetcher::Window w;
-      try {
-        if (!prefetcher_->next(w)) return Next::kEnd;
-      } catch (const WireError&) {
-        return Next::kLost;  // damaged sealed segment; verify() pinpoints it
-      }
-      ++reader_->opened_;  // same accounting as a cursor opening the file
-      if (w.header_torn) return Next::kLost;
-      window_ = std::move(w.bytes);
-      window_base_ = w.base;
-      window_pos_ = 0;
-      window_active_ = w.active;
-      have_window_ = true;
-    }
-    // Parse the next envelope of the in-memory window — same skip/torn
-    // semantics as a cursor over the file itself.
-    const std::size_t remaining = window_.size() - window_pos_;
-    if (remaining < kEnvelopeHeaderBytes) {
-      if (window_active_ && remaining > 0) return Next::kLost;  // torn tail
-      prefetcher_->recycle(std::move(window_));
-      window_.clear();
-      have_window_ = false;
-      continue;
-    }
-    const std::uint8_t* env = window_.data() + window_pos_;
-    const auto len = get_raw<std::uint32_t>(env);
-    const auto t = get_raw<double>(env + 4);
-    if (len == 0 || len > kMaxSegmentFrameBytes ||
-        window_pos_ + kEnvelopeHeaderBytes + len > window_.size()) {
-      return Next::kLost;  // torn active tail / damaged sealed payload
-    }
-    if (t >= options_.t1) return Next::kEnd;  // time is monotone
-    if (t < options_.t0) {  // skip without decoding
-      window_pos_ += kEnvelopeHeaderBytes + len;
-      continue;
-    }
-    RecordView view;
-    try {
-      std::size_t consumed = 0;
-      view = decode_record_view(env + kEnvelopeHeaderBytes, len, consumed,
-                                scratch_);
-      if (consumed != len) return Next::kLost;
-    } catch (const WireError&) {
-      return Next::kLost;
-    }
-    window_pos_ += kEnvelopeHeaderBytes + len;
-    if (classify_view(view, pending)) return Next::kRecord;
   }
 }
 
