@@ -1,8 +1,14 @@
+// Read side of the segment store: the reader, the one segment walk and
+// envelope scanner, and the two readers built from them — the inline Cursor
+// and the prefetching SegmentStoreSource.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <exception>
+#include <fstream>
+#include <limits>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/checked.hpp"
@@ -13,13 +19,8 @@
 namespace dynriver::river {
 
 using namespace detail;
-
-namespace {
-
 namespace fs = std::filesystem;
 namespace checked = common::checked;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SegmentStoreReader
@@ -93,222 +94,222 @@ SegmentStoreReader::Cursor SegmentStoreReader::seek(double t0, double t1) {
   return Cursor(this, t0, t1);
 }
 
-bool SegmentStoreReader::Cursor::open_next_segment() {
-  if (!positioned_) {
-    positioned_ = true;
-    // O(log n): first sealed segment whose span can reach t0.
-    const auto it = std::lower_bound(
-        store_->sealed_.begin(), store_->sealed_.end(), t0_,
-        [](const SegmentInfo& s, double t) { return s.t_max < t; });
-    seg_i_ = checked::narrow<std::size_t, std::runtime_error>(
-        it - store_->sealed_.begin(), "segment cursor position");
-  }
-  while (seg_i_ < store_->sealed_.size()) {
-    const SegmentInfo& s = store_->sealed_[seg_i_];
-    if (s.t_min >= t1_) return false;  // time is monotone: nothing later fits
-    // The manifest is the truth, but an in-flight compaction may still hold
-    // the file under its temp name and rename it at any moment. Try both
-    // names, twice, so a rename landing between any two of our steps cannot
-    // fail the cursor spuriously. (Retention/compaction that *deletes* a
-    // snapshot's files still invalidates the cursor — see the header.)
-    const auto final_path = store_->dir_ / s.name;
-    const auto tmp_path = fs::path(final_path.string() + ".tmp");
-    fs::path path;
-    SegmentFooter footer;
-    std::string err;
-    bool opened_file = false;
-    for (int attempt = 0; attempt < 2 && !opened_file; ++attempt) {
-      for (const auto& candidate : {final_path, tmp_path}) {
-        std::string e;
-        if (!load_segment_footer(candidate, footer, &e)) {
-          if (err.empty()) err = e;
-          continue;
-        }
-        file_.clear();
-        file_.open(candidate, std::ios::binary);
-        if (!file_) continue;  // renamed away between footer load and open
-        path = candidate;
-        opened_file = true;
-        break;
-      }
-    }
-    if (!opened_file) throw WireError("segment store: " + err);
-    ++store_->opened_;
-    ++seg_i_;
-    in_active_ = false;
-    pos_ = kSegmentHeaderBytes;
-    end_ = footer.payload_end;
-    if (s.t_min < t0_ && footer.index_count > 0) {
-      // Sparse-index probe: start the scan at the last entry at or before
-      // t0 instead of the head of the segment.
-      std::vector<std::pair<double, std::uint64_t>> index;
-      if (!load_segment_index(path, footer, index, &err)) {
-        throw WireError("segment store: " + err);
-      }
-      auto it = std::upper_bound(
-          index.begin(), index.end(), t0_,
-          [](double t, const std::pair<double, std::uint64_t>& e) {
-            return t < e.first;
-          });
-      if (it != index.begin()) pos_ = (*std::prev(it)).second;
-    }
-    file_.seekg(static_cast<std::streamoff>(pos_));
-    return true;
-  }
-  if (tried_active_ || store_->active_name_.empty()) return false;
-  tried_active_ = true;
-  const auto path = store_->dir_ / store_->active_name_;
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  if (ec || size <= kSegmentHeaderBytes) return false;
-  const double sealed_t_max = store_->sealed_.empty()
-                                  ? -std::numeric_limits<double>::infinity()
-                                  : store_->sealed_.back().t_max;
-  std::uint64_t sealed_end = 0;
-  if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
-    return false;  // a racing compaction reused the index: merged old data
-  }
-  file_.open(path, std::ios::binary);
-  if (!file_) return false;  // writer may have just sealed+rotated it
-  ++store_->opened_;
-  std::array<std::uint8_t, kSegmentHeaderBytes> header;
-  if (!read_exact(file_, header.data(), header.size()) ||
-      get_raw<std::uint32_t>(header.data()) != kSegmentMagic) {
-    // Header bytes still in the writer's buffer: nothing readable yet.
-    file_.close();
-    torn_ = true;
-    lost_bytes_ = size;
-    return false;
-  }
-  // sealed_end != 0: the writer sealed this segment after our snapshot —
-  // read exactly its payload (sealed semantics: damage throws, not torn).
-  in_active_ = sealed_end == 0;
-  pos_ = kSegmentHeaderBytes;
-  end_ = sealed_end != 0 ? sealed_end : size;  // bounded snapshot of the tail
-  return true;
-}
-
-bool SegmentStoreReader::Cursor::fail_torn() {
-  torn_ = true;
-  lost_bytes_ = checked::narrow<std::size_t, std::runtime_error>(
-      end_ - pos_, "torn tail size");
-  done_ = true;
-  return false;
-}
-
-// Pull the next in-range frame's bytes into frame_buf_ (stamp in pending_t_)
-// without consuming it: pos_ stays at the envelope until commit_frame(), so a
-// decode failure reports lost_bytes_ from the right spot. False at end of
-// range or torn tail (done_ set); throws on sealed-segment damage.
-bool SegmentStoreReader::Cursor::fetch_frame(std::uint32_t& len_out) {
-  if (done_) return false;
-  std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-  for (;;) {
-    if (!file_.is_open()) {
-      if (!open_next_segment()) {
-        done_ = true;
-        return false;
-      }
-    }
-    if (pos_ + kEnvelopeHeaderBytes > end_) {
-      if (in_active_ && pos_ < end_) return fail_torn();
-      file_.close();
-      continue;
-    }
-    if (!read_exact(file_, env.data(), env.size())) {
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: short envelope read");
-    }
-    const auto len = get_raw<std::uint32_t>(env.data());
-    const auto t = get_raw<double>(env.data() + 4);
-    if (len == 0 || len > kMaxSegmentFrameBytes ||
-        pos_ + kEnvelopeHeaderBytes + len > end_) {
-      // Mid-envelope snapshot of the writer (or its in-flight tail after a
-      // concurrent seal): everything from here on is not yet readable.
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: corrupt envelope");
-    }
-    ++scanned_;
-    if (t >= t1_) {  // time is monotone: the range is exhausted
-      done_ = true;
-      return false;
-    }
-    if (t < t0_) {  // skip without decoding
-      pos_ += kEnvelopeHeaderBytes + len;
-      file_.seekg(static_cast<std::streamoff>(pos_));
-      continue;
-    }
-    frame_buf_.resize(len);
-    if (!read_exact(file_, frame_buf_.data(), len)) {
-      if (in_active_) return fail_torn();
-      throw WireError("segment store: short frame read");
-    }
-    pending_t_ = t;
-    len_out = len;
-    return true;
-  }
-}
-
-void SegmentStoreReader::Cursor::commit_frame(std::uint32_t len) {
-  pos_ += kEnvelopeHeaderBytes + len;
-  time_ = pending_t_;
-}
-
-bool SegmentStoreReader::Cursor::next(Record& out) {
-  std::uint32_t len = 0;
-  if (!fetch_frame(len)) return false;
-  try {
-    std::size_t consumed = 0;
-    out = decode_record(frame_buf_.data(), len, consumed);
-    if (consumed != len) throw WireError("trailing bytes in envelope");
-  } catch (const WireError&) {
-    if (in_active_) return fail_torn();
-    throw;
-  }
-  commit_frame(len);
-  return true;
-}
-
-bool SegmentStoreReader::Cursor::next_view(RecordView& out) {
-  std::uint32_t len = 0;
-  if (!fetch_frame(len)) return false;
-  try {
-    std::size_t consumed = 0;
-    out = decode_record_view(frame_buf_.data(), len, consumed, scratch_);
-    if (consumed != len) throw WireError("trailing bytes in envelope");
-  } catch (const WireError&) {
-    if (in_active_) return fail_torn();
-    throw;
-  }
-  commit_frame(len);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
-// SegmentPrefetcher
+// SegmentWalk and EnvelopeScanner: the one walk and the one envelope parser
 // ---------------------------------------------------------------------------
 
 namespace detail {
 
-/// Background segment loader for prefetching replay. One thread walks the
-/// same segment sequence a Cursor would — sealed segments in manifest order
-/// from the first overlapping [t0, t1), then the active tail — and reads each
-/// segment's payload region into one in-memory window, one segment ahead of
-/// the consumer. The hand-off queue is one window deep and consumed buffers
-/// are recycled back to the loader, so the steady state is double-buffered
-/// with no allocation. The destructor joins the thread however early the
+SegmentWalk::SegmentWalk(const SegmentStoreReader& reader, double t0,
+                         double t1)
+    : reader_(&reader), t0_(t0), t1_(t1) {
+  // O(log n): first sealed segment whose span can reach t0.
+  const auto& sealed = reader.sealed_;
+  const auto it = std::lower_bound(
+      sealed.begin(), sealed.end(), t0,
+      [](const SegmentInfo& s, double t) { return s.t_max < t; });
+  next_ = checked::narrow<std::size_t, std::runtime_error>(
+      it - sealed.begin(), "segment walk position");
+}
+
+bool SegmentWalk::next(SegmentWindow& w) {
+  const auto& sealed = reader_->sealed_;
+  if (next_ < sealed.size()) {
+    const SegmentInfo& s = sealed[next_];
+    if (s.t_min < t1_) {
+      ++next_;
+      load_sealed(s, w);
+      return true;
+    }
+    next_ = sealed.size();  // time is monotone: nothing later fits,
+    tail_done_ = true;      // the active tail included
+  }
+  if (tail_done_) return false;
+  tail_done_ = true;
+  return load_active(w);
+}
+
+void SegmentWalk::load_sealed(const SegmentInfo& s, SegmentWindow& w) const {
+  // The manifest is the truth, but an in-flight compaction may still hold
+  // the file under its temp name and rename it at any moment. Try both
+  // names, twice, so a rename landing between any two of our steps cannot
+  // fail the walk spuriously. (Retention/compaction that *deletes* a
+  // snapshot's files still invalidates it — see the header.)
+  const auto final_path = reader_->dir_ / s.name;
+  const auto tmp_path = fs::path(final_path.string() + ".tmp");
+  fs::path path;
+  SegmentFooter footer;
+  std::string err;
+  std::ifstream in;
+  for (int attempt = 0; attempt < 2 && path.empty(); ++attempt) {
+    for (const auto& candidate : {final_path, tmp_path}) {
+      std::string e;
+      if (!load_segment_footer(candidate, footer, &e)) {
+        if (err.empty()) err = e;
+        continue;
+      }
+      in.clear();
+      in.open(candidate, std::ios::binary);
+      if (!in) continue;  // renamed away between footer load and open
+      path = candidate;
+      break;
+    }
+  }
+  if (path.empty()) throw WireError("segment store: " + err);
+
+  w.base = kSegmentHeaderBytes;
+  if (s.t_min < t0_ && footer.index_count > 0) {
+    // Sparse-index probe: load only from the last entry at or before t0.
+    std::vector<std::pair<double, std::uint64_t>> index;
+    if (!load_segment_index(path, footer, index, &err)) {
+      throw WireError("segment store: " + err);
+    }
+    const auto it = std::upper_bound(
+        index.begin(), index.end(), t0_,
+        [](double t, const std::pair<double, std::uint64_t>& e) {
+          return t < e.first;
+        });
+    if (it != index.begin()) w.base = std::prev(it)->second;
+  }
+  w.active = false;
+  w.header_torn = false;
+  // base <= payload_end: it is either the header size (footer geometry
+  // enforces payload_end >= that) or a validated sparse-index offset.
+  w.bytes.resize(checked::narrow<std::size_t, WireError>(
+      footer.payload_end - w.base, "segment window size"));
+  in.seekg(static_cast<std::streamoff>(w.base));
+  if (!read_exact(in, w.bytes.data(), w.bytes.size())) {
+    throw WireError("segment store: short payload read in " + path.string());
+  }
+}
+
+bool SegmentWalk::load_active(SegmentWindow& w) const {
+  if (reader_->active_name_.empty()) return false;
+  const auto path = reader_->dir_ / reader_->active_name_;
+  std::error_code ec;
+  const auto size = fs::file_size(path, ec);
+  if (ec || size <= kSegmentHeaderBytes) return false;  // nothing readable
+  const auto& sealed = reader_->sealed_;
+  const double sealed_t_max = sealed.empty()
+                                  ? -std::numeric_limits<double>::infinity()
+                                  : sealed.back().t_max;
+  std::uint64_t sealed_end = 0;
+  if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
+    return false;  // a racing compaction reused the index: merged old data
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;  // writer may have just sealed+rotated it
+  std::array<std::uint8_t, kSegmentHeaderBytes> header;
+  // Header bytes still in the writer's buffer: nothing is readable yet.
+  w.header_torn = !read_exact(in, header.data(), header.size()) ||
+                  get_raw<std::uint32_t>(header.data()) != kSegmentMagic;
+  // sealed_end != 0: the writer sealed this segment after our snapshot —
+  // read exactly its payload, with sealed semantics (damage, not torn).
+  w.active = sealed_end == 0;
+  w.base = w.header_torn ? 0 : kSegmentHeaderBytes;
+  // The file may be growing under us; the statted size is a bounded
+  // snapshot of the tail.
+  const std::uint64_t end = sealed_end != 0 ? sealed_end : size;
+  w.bytes.resize(checked::narrow<std::size_t, WireError>(
+      end - w.base, "active window size"));
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(w.base));
+  in.read(reinterpret_cast<char*>(w.bytes.data()),
+          static_cast<std::streamsize>(w.bytes.size()));
+  w.bytes.resize(checked::narrow<std::size_t, WireError>(
+      in.gcount(), "active window read size"));
+  return true;
+}
+
+EnvelopeScanner::Verdict EnvelopeScanner::next(const SegmentWindow& w,
+                                               WireScratch& scratch,
+                                               RecordView& out) {
+  if (w.header_torn) return Verdict::kTorn;
+  const Verdict broken = w.active ? Verdict::kTorn : Verdict::kDamaged;
+  for (;;) {
+    const std::size_t remaining = w.bytes.size() - pos_;
+    if (remaining == 0) return Verdict::kDrained;
+    // A short or out-of-bounds envelope is the writer's in-flight tail in an
+    // active window (everything from here on is not yet readable) and
+    // damage in a sealed one.
+    if (remaining < kEnvelopeHeaderBytes) return broken;
+    const std::uint8_t* env = w.bytes.data() + pos_;
+    const auto len = get_raw<std::uint32_t>(env);
+    const auto t = get_raw<double>(env + 4);
+    if (len == 0 || len > kMaxSegmentFrameBytes ||
+        len > remaining - kEnvelopeHeaderBytes) {
+      return broken;
+    }
+    ++scanned_;
+    if (t >= t1_) return Verdict::kEnd;  // time is monotone
+    if (t < t0_) {                       // skip without decoding
+      pos_ += kEnvelopeHeaderBytes + len;
+      continue;
+    }
+    try {
+      std::size_t consumed = 0;
+      out = decode_record_view(env + kEnvelopeHeaderBytes, len, consumed,
+                               scratch);
+      if (consumed != len) return broken;
+    } catch (const WireError&) {
+      return broken;
+    }
+    pos_ += kEnvelopeHeaderBytes + len;
+    time_ = t;
+    return Verdict::kRecord;
+  }
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// SegmentStoreReader::Cursor: the walk, inline
+// ---------------------------------------------------------------------------
+
+bool SegmentStoreReader::Cursor::next_view(RecordView& out) {
+  for (;;) {
+    switch (scan_.next(window_, scratch_, out)) {
+      case EnvelopeScanner::Verdict::kRecord:
+        return true;
+      case EnvelopeScanner::Verdict::kDrained:
+        if (!walk_.next(window_)) return false;
+        ++store_->opened_;
+        scan_.reset();
+        continue;
+      case EnvelopeScanner::Verdict::kEnd:
+        return false;
+      case EnvelopeScanner::Verdict::kTorn:
+        torn_ = true;
+        lost_bytes_ = scan_.lost_bytes(window_);
+        return false;
+      case EnvelopeScanner::Verdict::kDamaged:
+        throw WireError("segment store: damaged sealed segment");
+    }
+  }
+}
+
+bool SegmentStoreReader::Cursor::next(Record& out) {
+  RecordView view;
+  if (!next_view(view)) return false;
+  out = view.materialize();  // exactly what decode_record returns
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// SegmentPrefetcher: the walk, one segment ahead on a background thread
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// Runs a SegmentWalk on its own thread, loading each segment's window while
+/// the consumer decodes the previous one. The hand-off holds one window and
+/// drained buffers go back to the loader, so steady-state replay allocates
+/// no window memory. The destructor joins the thread however early the
 /// consumer stops.
 class SegmentPrefetcher {
  public:
-  struct Window {
-    std::vector<std::uint8_t> bytes;  ///< file contents [base, base+size)
-    std::uint64_t base = 0;           ///< file offset of bytes[0]
-    bool active = false;              ///< from the unsealed active segment
-    bool header_torn = false;         ///< active header unreadable: all torn
-  };
-
   SegmentPrefetcher(const SegmentStoreReader& reader, double t0, double t1)
-      : reader_(reader), t0_(t0), t1_(t1) {
+      : walk_(reader, t0, t1) {
     thread_ = std::thread([this] { run(); });
   }
 
@@ -324,190 +325,56 @@ class SegmentPrefetcher {
   SegmentPrefetcher(const SegmentPrefetcher&) = delete;
   SegmentPrefetcher& operator=(const SegmentPrefetcher&) = delete;
 
-  /// Blocks for the next window; false at the end of the segment sequence.
-  /// Rethrows a loader-side failure (missing sealed segment file, ...).
-  [[nodiscard]] bool next(Window& out) {
+  /// Trade the drained window `w` for the next one, blocking until it is
+  /// loaded; false at the end of the walk. Rethrows a loader-side failure
+  /// (missing sealed segment file, ...).
+  [[nodiscard]] bool next(SegmentWindow& w) {
     common::UniqueLock lock(mu_);
     while (!ready_.has_value() && !done_) cv_.wait(lock);
-    if (ready_.has_value()) {
-      out = std::move(*ready_);
-      ready_.reset();
-      cv_.notify_all();  // free the loader's slot
-      return true;
+    if (!ready_.has_value()) {
+      if (error_ != nullptr) std::rethrow_exception(error_);
+      return false;
     }
-    if (error_ != nullptr) std::rethrow_exception(error_);
-    return false;
-  }
-
-  /// Return a drained window's buffer for reuse by the loader.
-  void recycle(std::vector<std::uint8_t>&& buf) {
-    const common::LockGuard lock(mu_);
-    spare_ = std::move(buf);
-  }
-
- private:
-  [[nodiscard]] bool stopped() const {
-    const common::LockGuard lock(mu_);
-    return stop_;
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> take_buffer() {
-    const common::LockGuard lock(mu_);
-    return std::move(spare_);
-  }
-
-  /// Hand a window to the consumer once the slot frees; false when stopping.
-  [[nodiscard]] bool emit(Window&& w) {
-    common::UniqueLock lock(mu_);
-    while (ready_.has_value() && !stop_) cv_.wait(lock);
-    if (stop_) return false;
-    ready_ = std::move(w);
-    cv_.notify_all();
+    spare_ = std::move(w.bytes);
+    w = std::move(*ready_);
+    ready_.reset();
+    cv_.notify_all();  // free the loader's slot
     return true;
   }
 
+ private:
   void run() {
+    std::exception_ptr error;
     try {
-      const auto segs = reader_.segments();  // snapshot, like a cursor's
-      std::size_t n_sealed = 0;
-      while (n_sealed < segs.size() && segs[n_sealed].sealed) ++n_sealed;
-
-      // O(log n): first sealed segment whose span can reach t0.
-      const auto begin = segs.begin();
-      const auto it = std::lower_bound(
-          begin, begin + static_cast<std::ptrdiff_t>(n_sealed), t0_,
-          [](const SegmentInfo& s, double t) { return s.t_max < t; });
-      bool hit_t1 = false;
-      for (auto i = checked::narrow<std::size_t, std::runtime_error>(
-               it - begin, "prefetch start segment");
-           i < n_sealed; ++i) {
-        if (stopped()) return;
-        const SegmentInfo& s = segs[i];
-        if (s.t_min >= t1_) {  // time is monotone: nothing later fits
-          hit_t1 = true;
-          break;
+      for (;;) {
+        SegmentWindow w;
+        {
+          const common::LockGuard lock(mu_);
+          if (stop_) return;
+          w.bytes = std::move(spare_);
         }
-        if (!load_sealed(s)) return;
-      }
-      const double sealed_t_max =
-          n_sealed > 0 ? segs[n_sealed - 1].t_max
-                       : -std::numeric_limits<double>::infinity();
-      if (!hit_t1 && n_sealed < segs.size() &&
-          !load_active(segs[n_sealed], sealed_t_max)) {
-        return;
+        if (!walk_.next(w)) break;
+        common::UniqueLock lock(mu_);
+        while (ready_.has_value() && !stop_) cv_.wait(lock);
+        if (stop_) return;
+        ready_ = std::move(w);
+        cv_.notify_all();
       }
     } catch (...) {
-      const common::LockGuard lock(mu_);
-      error_ = std::current_exception();
+      error = std::current_exception();
     }
     {
       const common::LockGuard lock(mu_);
+      error_ = error;
       done_ = true;
     }
     cv_.notify_all();
   }
 
-  /// Load one sealed segment's payload window; false when stopping.
-  [[nodiscard]] bool load_sealed(const SegmentInfo& s) {
-    // Same dual-name retry as Cursor::open_next_segment: an in-flight
-    // compaction may still hold the file under its temp name.
-    const auto final_path = reader_.directory() / s.name;
-    const auto tmp_path = fs::path(final_path.string() + ".tmp");
-    SegmentFooter footer;
-    fs::path path;
-    std::string err;
-    bool opened_file = false;
-    std::ifstream in;
-    for (int attempt = 0; attempt < 2 && !opened_file; ++attempt) {
-      for (const auto& candidate : {final_path, tmp_path}) {
-        std::string e;
-        if (!load_segment_footer(candidate, footer, &e)) {
-          if (err.empty()) err = e;
-          continue;
-        }
-        in.clear();
-        in.open(candidate, std::ios::binary);
-        if (!in) continue;  // renamed away between footer load and open
-        path = candidate;
-        opened_file = true;
-        break;
-      }
-    }
-    if (!opened_file) throw WireError("segment store: " + err);
-
-    std::uint64_t start = kSegmentHeaderBytes;
-    if (s.t_min < t0_ && footer.index_count > 0) {
-      // Sparse-index probe: load only from the last entry at or before t0.
-      std::vector<std::pair<double, std::uint64_t>> index;
-      if (!load_segment_index(path, footer, index, &err)) {
-        throw WireError("segment store: " + err);
-      }
-      const auto pit = std::upper_bound(
-          index.begin(), index.end(), t0_,
-          [](double t, const std::pair<double, std::uint64_t>& e) {
-            return t < e.first;
-          });
-      if (pit != index.begin()) start = (*std::prev(pit)).second;
-    }
-
-    Window w;
-    w.bytes = take_buffer();
-    w.base = start;
-    // start <= payload_end: it is either the header size (footer geometry
-    // enforces payload_end >= that) or a validated sparse-index offset.
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        footer.payload_end - start, "segment window size"));
-    in.seekg(static_cast<std::streamoff>(start));
-    if (!read_exact(in, w.bytes.data(), w.bytes.size())) {
-      throw WireError("segment store: short payload read in " + path.string());
-    }
-    return emit(std::move(w));
-  }
-
-  /// Load the active segment's readable prefix; false when stopping.
-  [[nodiscard]] bool load_active(const SegmentInfo& s, double sealed_t_max) {
-    const auto path = reader_.directory() / s.name;
-    std::error_code ec;
-    const auto size = fs::file_size(path, ec);
-    if (ec || size <= kSegmentHeaderBytes) return true;  // nothing readable
-    std::uint64_t sealed_end = 0;
-    if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
-      return true;  // a racing compaction reused the index: merged old data
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return true;  // writer may have just sealed+rotated it
-    std::array<std::uint8_t, kSegmentHeaderBytes> header;
-    Window w;
-    // sealed_end != 0: sealed after our snapshot — read exactly its payload
-    // with sealed semantics (a decode failure is loss, not a torn tail).
-    w.active = sealed_end == 0;
-    if (!read_exact(in, header.data(), header.size()) ||
-        get_raw<std::uint32_t>(header.data()) != kSegmentMagic) {
-      // Header bytes still in the writer's buffer: nothing readable yet.
-      w.header_torn = true;
-      w.active = true;
-      return emit(std::move(w));
-    }
-    const std::uint64_t end = sealed_end != 0 ? sealed_end : size;
-    w.bytes = take_buffer();
-    w.base = kSegmentHeaderBytes;
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        end - kSegmentHeaderBytes, "active window size"));
-    // The file may be growing under us; the statted size is our bounded
-    // snapshot of the tail, exactly like a cursor's.
-    in.read(reinterpret_cast<char*>(w.bytes.data()),
-            static_cast<std::streamsize>(w.bytes.size()));
-    w.bytes.resize(checked::narrow<std::size_t, WireError>(
-        in.gcount(), "active window read size"));
-    return emit(std::move(w));
-  }
-
-  const SegmentStoreReader& reader_;
-  const double t0_;
-  const double t1_;
-  mutable common::Mutex mu_;
+  SegmentWalk walk_;  ///< touched by the loader thread only
+  common::Mutex mu_;
   common::CondVar cv_;
-  std::optional<Window> ready_ DR_GUARDED_BY(mu_);
+  std::optional<SegmentWindow> ready_ DR_GUARDED_BY(mu_);
   std::vector<std::uint8_t> spare_ DR_GUARDED_BY(mu_);
   std::exception_ptr error_ DR_GUARDED_BY(mu_);
   bool done_ DR_GUARDED_BY(mu_) = false;
@@ -524,113 +391,58 @@ class SegmentPrefetcher {
 SegmentStoreSource::SegmentStoreSource(const std::filesystem::path& dir,
                                        double t0, double t1,
                                        std::uint32_t subtype)
-    : SegmentStoreSource(dir, ReplayOptions{t0, t1, subtype, true}) {}
-
-SegmentStoreSource::SegmentStoreSource(const std::filesystem::path& dir,
-                                       ReplayOptions options)
-    : RecordSampleSource(options.subtype),
+    : RecordSampleSource(subtype),
       reader_(std::make_unique<SegmentStoreReader>(dir)),
-      cursor_(reader_->seek(options.t0, options.t1)),
-      options_(options) {
-  if (options_.prefetch) {
-    prefetcher_ = std::make_unique<detail::SegmentPrefetcher>(
-        *reader_, options_.t0, options_.t1);
-  }
-}
+      prefetcher_(std::make_unique<SegmentPrefetcher>(*reader_, t0, t1)),
+      scan_(t0, t1) {}
 
 SegmentStoreSource::~SegmentStoreSource() = default;  // joins the prefetcher
 
-RecordSampleSource::Next SegmentStoreSource::next_record(Record& rec) {
-  try {
-    if (cursor_.next(rec)) return Next::kRecord;
-    return cursor_.torn() ? Next::kLost : Next::kEnd;
-  } catch (const WireError&) {
-    return Next::kLost;  // damaged sealed segment; verify() pinpoints it
+RecordSampleSource::Next SegmentStoreSource::next_view(RecordView& view) {
+  for (;;) {
+    switch (scan_.next(window_, scratch_, view)) {
+      case EnvelopeScanner::Verdict::kRecord:
+        return Next::kRecord;
+      case EnvelopeScanner::Verdict::kDrained:
+        try {
+          if (!prefetcher_->next(window_)) return Next::kEnd;
+        } catch (const WireError&) {
+          return Next::kLost;  // damaged sealed segment; verify() pinpoints it
+        }
+        ++reader_->opened_;  // same accounting as a cursor
+        scan_.reset();
+        continue;
+      case EnvelopeScanner::Verdict::kEnd:
+        return Next::kEnd;
+      case EnvelopeScanner::Verdict::kTorn:
+      case EnvelopeScanner::Verdict::kDamaged:
+        return Next::kLost;
+    }
   }
 }
 
-bool SegmentStoreSource::classify_view(const RecordView& view,
-                                       FloatVec& pending) {
-  ++records_in_;
-  if (view.type == RecordType::kOpenScope && view.scope_type == kScopeClip) {
-    rate_ = view.attr_double(kAttrSampleRate, rate_);
-  } else if (view.type == RecordType::kData && view.subtype == subtype() &&
-             view.is_float()) {
-    if (rate_ == 0.0) rate_ = view.attr_double(kAttrSampleRate, 0.0);
-    pending.assign(view.floats.begin(), view.floats.end());
-    return true;
-  }
-  return false;
+RecordSampleSource::Next SegmentStoreSource::next_record(Record& rec) {
+  RecordView view;
+  const Next next = next_view(view);
+  if (next == Next::kRecord) rec = view.materialize();
+  return next;
 }
 
 RecordSampleSource::Next SegmentStoreSource::next_audio(FloatVec& pending) {
-  if (prefetcher_ != nullptr) return next_audio_prefetched(pending);
-  // Synchronous path: the same scan through the cursor's allocation-free
-  // view — pending reuses its capacity, the cursor its buffers.
+  // next_record's scan without materializing: pending reuses its capacity.
   RecordView view;
   for (;;) {
-    try {
-      if (!cursor_.next_view(view)) {
-        return cursor_.torn() ? Next::kLost : Next::kEnd;
-      }
-    } catch (const WireError&) {
-      return Next::kLost;  // damaged sealed segment; verify() pinpoints it
+    const Next next = next_view(view);
+    if (next != Next::kRecord) return next;
+    ++records_in_;
+    if (view.type == RecordType::kOpenScope && view.scope_type == kScopeClip) {
+      rate_ = view.attr_double(kAttrSampleRate, rate_);
+    } else if (view.type == RecordType::kData && view.subtype == subtype() &&
+               view.is_float()) {
+      if (rate_ == 0.0) rate_ = view.attr_double(kAttrSampleRate, 0.0);
+      pending.assign(view.floats.begin(), view.floats.end());
+      return Next::kRecord;
     }
-    if (classify_view(view, pending)) return Next::kRecord;
-  }
-}
-
-RecordSampleSource::Next SegmentStoreSource::next_audio_prefetched(
-    FloatVec& pending) {
-  for (;;) {
-    if (!have_window_) {
-      detail::SegmentPrefetcher::Window w;
-      try {
-        if (!prefetcher_->next(w)) return Next::kEnd;
-      } catch (const WireError&) {
-        return Next::kLost;  // damaged sealed segment; verify() pinpoints it
-      }
-      ++reader_->opened_;  // same accounting as a cursor opening the file
-      if (w.header_torn) return Next::kLost;
-      window_ = std::move(w.bytes);
-      window_base_ = w.base;
-      window_pos_ = 0;
-      window_active_ = w.active;
-      have_window_ = true;
-    }
-    // Parse the next envelope of the in-memory window — same skip/torn
-    // semantics as a cursor over the file itself.
-    const std::size_t remaining = window_.size() - window_pos_;
-    if (remaining < kEnvelopeHeaderBytes) {
-      if (window_active_ && remaining > 0) return Next::kLost;  // torn tail
-      prefetcher_->recycle(std::move(window_));
-      window_.clear();
-      have_window_ = false;
-      continue;
-    }
-    const std::uint8_t* env = window_.data() + window_pos_;
-    const auto len = get_raw<std::uint32_t>(env);
-    const auto t = get_raw<double>(env + 4);
-    if (len == 0 || len > kMaxSegmentFrameBytes ||
-        window_pos_ + kEnvelopeHeaderBytes + len > window_.size()) {
-      return Next::kLost;  // torn active tail / damaged sealed payload
-    }
-    if (t >= options_.t1) return Next::kEnd;  // time is monotone
-    if (t < options_.t0) {  // skip without decoding
-      window_pos_ += kEnvelopeHeaderBytes + len;
-      continue;
-    }
-    RecordView view;
-    try {
-      std::size_t consumed = 0;
-      view = decode_record_view(env + kEnvelopeHeaderBytes, len, consumed,
-                                scratch_);
-      if (consumed != len) return Next::kLost;
-    } catch (const WireError&) {
-      return Next::kLost;
-    }
-    window_pos_ += kEnvelopeHeaderBytes + len;
-    if (classify_view(view, pending)) return Next::kRecord;
   }
 }
 

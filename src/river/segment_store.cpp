@@ -11,21 +11,19 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <utility>
 
-#include "common/checked.hpp"
 #include "common/contracts.hpp"
 #include "river/segment_format.hpp"
 #include "river/wire.hpp"
 
 namespace dynriver::river {
+
 using namespace detail;
 
 namespace {
 
 namespace fs = std::filesystem;
-namespace checked = common::checked;
 
 // -- fixed-layout encoding helpers -------------------------------------------
 

@@ -31,9 +31,9 @@
 //     see the sealed list through the atomically-renamed MANIFEST plus a
 //     bounded snapshot of the active tail (complete frames only; in-flight
 //     bytes surface as a torn tail, exactly like a flat log mid-write).
-//     Cursors also retry a segment's temp name, so an in-flight compaction
+//     Readers also retry a segment's temp name, so an in-flight compaction
 //     rename cannot fail them spuriously. retire_before()/compact() DELETE
-//     files, however: a cursor opened before such a call may fail once a
+//     files, however: a reader opened before such a call may fail once a
 //     file its snapshot references is gone — re-seek afterwards.
 //   - Crash recovery on reopen adopts any sealed-but-unmanifested segment,
 //     rolls forward an interrupted compaction, truncates the active
@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -55,6 +54,10 @@
 #include "river/record.hpp"
 #include "river/sample_io.hpp"
 #include "river/wire.hpp"
+
+namespace dynriver::river {
+class SegmentStoreReader;
+}  // namespace dynriver::river
 
 namespace dynriver::river::detail {
 class SegmentPrefetcher;
@@ -249,6 +252,80 @@ class SegmentedRecordLog {
   bool closed_ DR_GUARDED_BY(mu_) = false;
 };
 
+namespace detail {
+
+/// One segment's payload as SegmentWalk yields it.
+struct SegmentWindow {
+  std::vector<std::uint8_t> bytes;  ///< file contents [base, base + size)
+  std::uint64_t base = 0;           ///< file offset of bytes[0]
+  bool active = false;  ///< unsealed tail: what does not parse is torn
+  /// The active header is unreadable, so the whole file (all of `bytes`,
+  /// from offset 0) is torn.
+  bool header_torn = false;
+};
+
+/// The catalog walk every segment-store reader runs: sealed segments that
+/// can overlap [t0, t1) in manifest order — O(log n) to the first, a sparse
+/// index probe into it — then the active tail. One window per segment.
+class SegmentWalk {
+ public:
+  SegmentWalk(const SegmentStoreReader& reader, double t0, double t1);
+
+  /// Load the next segment into `w`, reusing its buffer; false once the walk
+  /// is over. Throws WireError when a sealed segment cannot be read.
+  [[nodiscard]] bool next(SegmentWindow& w);
+
+ private:
+  void load_sealed(const SegmentInfo& s, SegmentWindow& w) const;
+  [[nodiscard]] bool load_active(SegmentWindow& w) const;
+
+  const SegmentStoreReader* reader_;
+  double t0_;
+  double t1_;
+  std::size_t next_;         ///< next sealed segment to load
+  bool tail_done_ = false;   ///< the active tail was tried (or is out of range)
+};
+
+/// Parses the envelopes of one window after another, keeping those stamped
+/// in [t0, t1).
+class EnvelopeScanner {
+ public:
+  enum class Verdict : std::uint8_t {
+    kRecord,   ///< the next in-range record was decoded
+    kDrained,  ///< the window is used up: load the next one, then reset()
+    kEnd,      ///< a stamp at or past t1: time is monotone, the range is done
+    kTorn,     ///< the rest of an active window does not parse
+    kDamaged,  ///< the rest of a sealed window does not parse
+  };
+
+  EnvelopeScanner(double t0, double t1) : t0_(t0), t1_(t1) {}
+
+  /// Start on a freshly loaded window.
+  void reset() { pos_ = 0; }
+
+  /// Decode the next in-range record of `w` into `out` (spans borrow `w`
+  /// and `scratch`). Every verdict but kRecord repeats until reset().
+  [[nodiscard]] Verdict next(const SegmentWindow& w, WireScratch& scratch,
+                             RecordView& out);
+
+  /// Stream time of the record last decoded.
+  [[nodiscard]] double time() const { return time_; }
+  /// Bytes of `w` from the first envelope that does not parse on.
+  [[nodiscard]] std::size_t lost_bytes(const SegmentWindow& w) const {
+    return w.bytes.size() - pos_;
+  }
+  [[nodiscard]] std::size_t frames_scanned() const { return scanned_; }
+
+ private:
+  double t0_;
+  double t1_;
+  std::size_t pos_ = 0;  ///< offset in the window of the next envelope
+  double time_ = 0.0;
+  std::size_t scanned_ = 0;
+};
+
+}  // namespace detail
+
 /// Read-only snapshot view of a store, safe concurrently with a writer.
 class SegmentStoreReader {
  public:
@@ -258,8 +335,9 @@ class SegmentStoreReader {
   /// on disk (bytes = current size, frames unknown until sealed).
   [[nodiscard]] std::vector<SegmentInfo> segments() const;
 
-  /// Files opened by cursors of this reader so far — pinned by tests to
-  /// prove seek() touches only segments overlapping the requested range.
+  /// Segments read so far by this reader's cursors (or by the replay source
+  /// that owns it) — pinned by tests to prove a walk touches only segments
+  /// overlapping the requested range.
   [[nodiscard]] std::size_t segments_opened() const { return opened_; }
 
   /// Full integrity check of every sealed segment (header, footer, index
@@ -275,46 +353,33 @@ class SegmentStoreReader {
     /// segment damage throws WireError (verify() pinpoints it).
     [[nodiscard]] bool next(Record& out);
 
-    /// Allocation-free variant: `out` borrows the cursor's internal frame
-    /// buffer and decode scratch, both valid only until the next call.
+    /// Allocation-free variant: `out` borrows the cursor's segment buffer
+    /// and decode scratch, both valid only until the next call.
     /// Same end-of-range / torn / throw behavior as next().
     [[nodiscard]] bool next_view(RecordView& out);
 
     /// Stream time of the record last returned by next().
-    [[nodiscard]] double time() const { return time_; }
+    [[nodiscard]] double time() const { return scan_.time(); }
     [[nodiscard]] bool torn() const { return torn_; }
     [[nodiscard]] std::size_t lost_bytes() const { return lost_bytes_; }
     /// Envelopes visited, including index-to-t0 skips — pinned by tests to
     /// prove the scan after an index probe is bounded.
-    [[nodiscard]] std::size_t frames_scanned() const { return scanned_; }
+    [[nodiscard]] std::size_t frames_scanned() const {
+      return scan_.frames_scanned();
+    }
 
    private:
     friend class SegmentStoreReader;
     Cursor(SegmentStoreReader* store, double t0, double t1)
-        : store_(store), t0_(t0), t1_(t1) {}
-    bool open_next_segment();
-    bool fetch_frame(std::uint32_t& len_out);
-    void commit_frame(std::uint32_t len);
-    [[nodiscard]] bool fail_torn();
+        : store_(store), walk_(*store, t0, t1), scan_(t0, t1) {}
 
     SegmentStoreReader* store_;
-    double t0_;
-    double t1_;
-    bool positioned_ = false;
-    std::vector<std::uint8_t> frame_buf_;
+    detail::SegmentWalk walk_;
+    detail::SegmentWindow window_;  ///< the segment being read, reused
+    detail::EnvelopeScanner scan_;
     WireScratch scratch_;
-    std::size_t seg_i_ = 0;       ///< next sealed segment to consider
-    bool tried_active_ = false;
-    bool in_active_ = false;
-    bool done_ = false;
     bool torn_ = false;
-    std::ifstream file_;
-    std::uint64_t pos_ = 0;
-    std::uint64_t end_ = 0;       ///< payload end of the current segment
-    double time_ = 0.0;
-    double pending_t_ = 0.0;      ///< time of the fetched-but-uncommitted frame
     std::size_t lost_bytes_ = 0;
-    std::size_t scanned_ = 0;
   };
 
   /// Cursor over records with stream time in [t0, t1). O(log n) over the
@@ -326,7 +391,8 @@ class SegmentStoreReader {
   [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
 
  private:
-  friend class SegmentStoreSource;  // prefetched replay keeps opened_ honest
+  friend class SegmentStoreSource;  // replay keeps opened_ honest
+  friend class detail::SegmentWalk;
 
   std::filesystem::path dir_;
   std::vector<SegmentInfo> sealed_;
@@ -334,28 +400,18 @@ class SegmentStoreReader {
   std::size_t opened_ = 0;
 };
 
-/// How SegmentStoreSource replays a store.
-struct ReplayOptions {
-  double t0 = 0.0;
-  double t1 = std::numeric_limits<double>::infinity();
-  std::uint32_t subtype = kSubtypeAudio;
-  /// Overlap disk reads with decode: a background thread loads segment
-  /// payload windows one segment ahead of the consumer (double-buffered,
-  /// joined cleanly however early the replay stops). Decoding then runs
-  /// in-memory and allocation-free per frame.
-  bool prefetch = true;
-};
-
 /// Replays a time range of a segment store as a sample stream: drop it into
 /// run_stream / SessionScheduler and a month of archive re-extracts through
-/// the same sessions that serve live traffic.
+/// the same sessions that serve live traffic. A background thread runs the
+/// segment walk one segment ahead of decoding (joined cleanly however early
+/// the replay stops); decoding then runs in memory, allocation-free per
+/// frame.
 class SegmentStoreSource final : public RecordSampleSource {
  public:
   explicit SegmentStoreSource(
       const std::filesystem::path& dir, double t0 = 0.0,
       double t1 = std::numeric_limits<double>::infinity(),
       std::uint32_t subtype = kSubtypeAudio);
-  SegmentStoreSource(const std::filesystem::path& dir, ReplayOptions options);
   ~SegmentStoreSource() override;
 
   [[nodiscard]] const SegmentStoreReader& reader() const { return *reader_; }
@@ -363,21 +419,12 @@ class SegmentStoreSource final : public RecordSampleSource {
  private:
   [[nodiscard]] Next next_record(Record& rec) override;
   [[nodiscard]] Next next_audio(FloatVec& pending) override;
-  [[nodiscard]] Next next_audio_prefetched(FloatVec& pending);
-  /// Shared skip/match logic of both replay paths: bumps records_in_,
-  /// learns the rate, fills `pending` (capacity reused) on an audio match.
-  [[nodiscard]] bool classify_view(const RecordView& view, FloatVec& pending);
+  [[nodiscard]] Next next_view(RecordView& view);
 
   std::unique_ptr<SegmentStoreReader> reader_;
-  SegmentStoreReader::Cursor cursor_;
-  ReplayOptions options_;
-  // Prefetched-path state: the current in-memory window and parse offset.
   std::unique_ptr<detail::SegmentPrefetcher> prefetcher_;
-  std::vector<std::uint8_t> window_;
-  std::uint64_t window_base_ = 0;  ///< file offset of window_[0]
-  std::size_t window_pos_ = 0;
-  bool window_active_ = false;     ///< window came from the active segment
-  bool have_window_ = false;
+  detail::SegmentWindow window_;  ///< the segment being decoded
+  detail::EnvelopeScanner scan_;
   WireScratch scratch_;
 };
 

@@ -64,6 +64,7 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
   const auto dir = temp_file("store");
   constexpr std::size_t kRecordSamples = 900;
   constexpr std::size_t kRecords = 2000;
+  constexpr std::size_t kMeasuredRecords = 1000;
   {
     std::vector<float> xs(kRecords * kRecordSamples);
     for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -79,14 +80,13 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
     log.close();
   }
 
-  for (const bool prefetch : {true, false}) {
-    river::ReplayOptions options;
-    options.prefetch = prefetch;
-    river::SegmentStoreSource source(dir, options);
+  // Replay through the source: windows come from the prefetch thread.
+  {
+    river::SegmentStoreSource source(dir);
     std::vector<float> buf(256);
 
-    // Warm-up: 300 records' worth grows every reusable buffer (and, on the
-    // prefetch path, lets the background loader finish its window).
+    // Warm-up: 300 records' worth grows every reusable buffer (and lets the
+    // background loader finish its window).
     std::size_t warmed = 0;
     while (warmed < 300 * kRecordSamples) {
       const std::size_t n = source.read(buf);
@@ -95,7 +95,6 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
     }
 
     // Measured window: 1000 more records.
-    constexpr std::size_t kMeasuredRecords = 1000;
     const std::size_t before = g_allocations.load(std::memory_order_relaxed);
     std::size_t read = 0;
     while (read < kMeasuredRecords * kRecordSamples) {
@@ -109,12 +108,34 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
     // < 0.05 allocations per frame: per-frame heap traffic is zero; only
     // incidental per-segment costs may land inside the window.
     EXPECT_LT(during, kMeasuredRecords / 20)
-        << (prefetch ? "prefetched" : "synchronous") << " replay allocated "
-        << during << " times across " << kMeasuredRecords << " records";
+        << "prefetched replay allocated " << during << " times across "
+        << kMeasuredRecords << " records";
 
     // Drain the rest so the source shuts down cleanly inside the test body.
     while (source.read(buf) > 0) {
     }
     EXPECT_TRUE(source.clean());
+  }
+
+  // The synchronous path: a cursor runs the same walk inline.
+  {
+    river::SegmentStoreReader reader(dir);
+    auto cursor = reader.seek(0.0);
+    river::RecordView view;
+    for (std::size_t i = 0; i < 300; ++i) ASSERT_TRUE(cursor.next_view(view));
+
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kMeasuredRecords; ++i) {
+      ASSERT_TRUE(cursor.next_view(view));
+    }
+    const std::size_t during =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_LT(during, kMeasuredRecords / 20)
+        << "cursor replay allocated " << during << " times across "
+        << kMeasuredRecords << " records";
+
+    while (cursor.next_view(view)) {
+    }
+    EXPECT_FALSE(cursor.torn());
   }
 }

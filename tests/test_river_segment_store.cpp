@@ -285,6 +285,17 @@ TEST_F(SegmentStoreTest, SeekTouchesOnlyOverlappingSegments) {
   Record rec;
   EXPECT_FALSE(beyond.next(rec));
   EXPECT_EQ(reader.segments_opened(), 3U);
+
+  // The same bounds hold on the production replay path, whose walk runs on
+  // the prefetch thread.
+  river::SegmentStoreSource source(dir, 3.05, 5.5);
+  (void)drain(source, 64);
+  EXPECT_TRUE(source.clean());
+  EXPECT_EQ(source.reader().segments_opened(), 3U);
+  EXPECT_EQ(source.records_in(), 24U);
+  river::SegmentStoreSource beyond_source(dir, 100.0, 200.0);
+  EXPECT_TRUE(drain(beyond_source, 64).empty());
+  EXPECT_EQ(beyond_source.reader().segments_opened(), 0U);
 }
 
 TEST_F(SegmentStoreTest, SparseIndexBoundsTheScanWithinASegment) {
@@ -720,9 +731,7 @@ TEST_F(StaleReaderCompactionRace, PrefetchedReplaySkipsMergedOldData) {
 
   // Same stale view through the prefetching replay path (its loader thread
   // walks the identical segment sequence and must apply the same probe).
-  river::ReplayOptions options;
-  options.prefetch = true;
-  river::SegmentStoreSource source(dir, options);
+  river::SegmentStoreSource source(dir);
   const auto samples = drain(source, 64);
   EXPECT_EQ(samples.size(), kRecords * 32)
       << "prefetched replay re-read merged old data";
@@ -983,7 +992,7 @@ TEST_F(SegmentStoreTest, PackedStoreIsAtLeastThreefoldSmallerOnStationAudio) {
 
 TEST_F(SegmentStoreTest, PackedReplayBitIdenticalEveryChunkingAndBothPaths) {
   // Replay of a packed, multi-segment store must be sample-exact for every
-  // read chunking, with and without the prefetch thread.
+  // read chunking.
   const auto xs = quantized_signal_with_events(30000, 23);
   const auto dir = store_dir();
   {
@@ -998,16 +1007,10 @@ TEST_F(SegmentStoreTest, PackedReplayBitIdenticalEveryChunkingAndBothPaths) {
     ASSERT_GT(log.segments().size(), 2U) << "rotation must be exercised";
   }
 
-  for (const bool prefetch : {true, false}) {
-    for (const std::size_t chunk : {7U, 64U, 256U, 900U, 1024U, 4096U}) {
-      river::ReplayOptions options;
-      options.prefetch = prefetch;
-      river::SegmentStoreSource source(dir, options);
-      expect_bit_identical(drain(source, chunk), xs,
-                           prefetch ? "prefetched" : "synchronous");
-      EXPECT_TRUE(source.clean())
-          << "prefetch=" << prefetch << " chunk=" << chunk;
-    }
+  for (const std::size_t chunk : {7U, 64U, 256U, 900U, 1024U, 4096U}) {
+    river::SegmentStoreSource source(dir);
+    expect_bit_identical(drain(source, chunk), xs, "prefetched");
+    EXPECT_TRUE(source.clean()) << "chunk=" << chunk;
   }
 }
 
@@ -1063,12 +1066,6 @@ TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndFlatLog) {
   river::SegmentStoreSource prefetched(dir);
   expect_same_ensembles(replay(prefetched), want.ensembles, "packed prefetch");
   ASSERT_TRUE(prefetched.clean());
-
-  river::ReplayOptions sync_options;
-  sync_options.prefetch = false;
-  river::SegmentStoreSource synchronous(dir, sync_options);
-  expect_same_ensembles(replay(synchronous), want.ensembles, "packed sync");
-  ASSERT_TRUE(synchronous.clean());
 }
 
 TEST_F(SegmentStoreTest, MixedPackedAndRawSegmentsReplayAndCompact) {
@@ -1165,19 +1162,17 @@ TEST_F(SegmentStoreTest, DamagedOrTruncatedPackedStoreSurfacesAsLostNotCrash) {
                     std::istreambuf_iterator<char>());
   }
 
-  {  // bit-flip drill, through both replay paths
+  {  // bit-flip drill
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(200);
     const char x = 0x5A;
     f.write(&x, 1);
   }
-  for (const bool prefetch : {true, false}) {
-    river::ReplayOptions options;
-    options.prefetch = prefetch;
-    river::SegmentStoreSource source(dir, options);
+  {
+    river::SegmentStoreSource source(dir);
     (void)drain(source, 256);
-    EXPECT_FALSE(source.clean()) << "prefetch=" << prefetch;
-    EXPECT_TRUE(source.exhausted()) << "prefetch=" << prefetch;
+    EXPECT_FALSE(source.clean());
+    EXPECT_TRUE(source.exhausted());
   }
 
   {  // truncate drill: a sealed segment cut mid-payload loses its footer
