@@ -190,24 +190,41 @@ int main(int argc, char** argv) {
 
     // Serialize while the log is live so the seed keeps its ACTIVE tail
     // segment — that is what exercises recovery (closing would seal it).
-    std::vector<std::uint8_t> archive;
     std::vector<fs::path> files;
     for (const auto& entry : fs::directory_iterator(store_dir)) {
       files.push_back(entry.path());
     }
-    std::sort(files.begin(), files.end());
-    for (const auto& file : files) {
-      const auto name = file.filename().string();
-      for (std::size_t sel = 0; sel < fz::kArchiveNames.size(); ++sel) {
-        if (fz::kArchiveNames[sel] == name) {
-          fz::pack_entry(archive, static_cast<std::uint8_t>(sel),
-                         slurp(file));
-          break;
+    std::sort(files.begin(), files.end());  // MANIFEST, sealed..., active
+    // `edit` may damage one file's bytes before they are packed.
+    const auto pack_store = [&](const auto& edit) {
+      std::vector<std::uint8_t> archive;
+      for (const auto& file : files) {
+        const auto name = file.filename().string();
+        for (std::size_t sel = 0; sel < fz::kArchiveNames.size(); ++sel) {
+          if (fz::kArchiveNames[sel] == name) {
+            auto bytes = slurp(file);
+            edit(file, bytes);
+            fz::pack_entry(archive, static_cast<std::uint8_t>(sel), bytes);
+            break;
+          }
         }
       }
-    }
+      return archive;
+    };
     emit(root, "segment_open", packed ? "store_packed" : "store_raw",
-         archive);
+         pack_store([](const fs::path&, std::vector<std::uint8_t>&) {}));
+    if (!packed) {
+      // The replay cross-check's unclean arms: a torn active tail (the
+      // writer died mid-envelope) and a flipped byte in a sealed payload.
+      emit(root, "segment_open", "store_raw_torn_tail",
+           pack_store([&](const fs::path& f, std::vector<std::uint8_t>& b) {
+             if (f == files.back()) b.resize(b.size() - 7);
+           }));
+      emit(root, "segment_open", "store_raw_damaged_sealed",
+           pack_store([&](const fs::path& f, std::vector<std::uint8_t>& b) {
+             if (f.filename() == "seg-000000.drs") b[512] ^= 0x5A;
+           }));
+    }
     log.close();
   }
   return 0;

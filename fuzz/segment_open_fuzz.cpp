@@ -4,14 +4,20 @@
 // The input unpacks as a mini-archive (see segment_archive.hpp) into a
 // scratch store directory — MANIFEST text, sealed segment files, tmp files —
 // then the read side runs the full gauntlet: SegmentStoreReader listing +
-// verify() + a seek/drain, and SegmentedRecordLog crash recovery opening the
-// same directory. Contract: hostile store bytes surface as clean errors
-// (runtime_error / WireError) or clean torn-tail reports, never as a crash,
-// a hang, or an attacker-sized allocation. Corpus seeds are real stores
-// serialized by corpus_gen, so coverage starts deep inside the happy path.
+// verify() + a seek/drain, a SegmentStoreSource replay of the same range, and
+// SegmentedRecordLog crash recovery opening the same directory. Contract:
+// hostile store bytes surface as clean errors (runtime_error / WireError) or
+// clean torn-tail reports, never as a crash, a hang, or an attacker-sized
+// allocation — and the replay path the scheduler uses agrees with the
+// cursor: a cursor drain that ends cleanly replays cleanly to exactly the
+// cursor's audio samples, and any other end replays as unclean. Corpus seeds
+// are real stores serialized by corpus_gen, so coverage starts deep inside
+// the happy path.
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "fuzz_support.hpp"
 #include "river/segment_store.hpp"
@@ -27,8 +33,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   fz::unpack_archive(data, size, dir);
 
   // Read side: listing, integrity check, bounded drain.
+  constexpr std::size_t kMaxRecords = 100000;  // plenty for any corpus store
+  bool opened = false;   // the MANIFEST parsed
+  bool bounded = false;  // the drain stopped at kMaxRecords, not at the end
+  bool clean = false;    // ...or ended without a throw and without torn()
+  std::vector<float> audio;  // the cursor's audio kData payloads, in order
   try {
     rv::SegmentStoreReader reader(dir);
+    opened = true;
     (void)reader.segments();
     std::string error;
     (void)reader.verify(&error);
@@ -36,13 +48,47 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     rv::Record rec;
     std::size_t drained = 0;
     while (cursor.next(rec)) {
-      if (++drained > 100000) break;  // plenty for any corpus-sized store
+      if (++drained > kMaxRecords) {
+        bounded = true;
+        break;
+      }
+      if (rec.type == rv::RecordType::kData &&
+          rec.subtype == rv::kSubtypeAudio && rec.is_float()) {
+        const auto& xs = std::get<rv::FloatVec>(rec.payload);
+        audio.insert(audio.end(), xs.begin(), xs.end());
+      }
     }
-    (void)cursor.torn();
     (void)cursor.lost_bytes();
+    clean = !cursor.torn();
   } catch (const std::runtime_error&) {
     // Damaged manifest / sealed segment: the documented failure mode
     // (WireError is a runtime_error too).
+  }
+
+  // Replay side: the same range through the prefetching source.
+  if (!bounded) {
+    try {
+      rv::SegmentStoreSource source(dir);
+      FUZZ_CHECK(opened);
+      std::vector<float> samples;
+      std::vector<float> buf(4096);
+      while (source.records_in() <= kMaxRecords) {
+        const std::size_t n = source.read(buf);
+        if (n == 0) break;
+        samples.insert(samples.end(), buf.begin(),
+                       buf.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      FUZZ_CHECK(source.exhausted());
+      FUZZ_CHECK(source.clean() == clean);
+      if (clean) {
+        FUZZ_CHECK(samples.size() == audio.size());
+        FUZZ_CHECK(samples.empty() ||
+                   std::memcmp(samples.data(), audio.data(),
+                               samples.size() * sizeof(float)) == 0);
+      }
+    } catch (const std::runtime_error&) {
+      FUZZ_CHECK(!opened);  // only the MANIFEST may fail the source
+    }
   }
 
   // Write side: crash recovery must adopt, truncate, or reject — cleanly.
