@@ -19,7 +19,6 @@
 #include "dsp/wav.hpp"
 #include "fuzz_support.hpp"
 #include "river/bitpack.hpp"
-#include "river/record_log.hpp"
 #include "river/segment_store.hpp"
 #include "river/wire.hpp"
 #include "segment_archive.hpp"
@@ -140,24 +139,6 @@ int main(int argc, char** argv) {
 
   fz::ScratchDir scratch;
 
-  // record_log_scan: a healthy log, and the same log with a torn tail.
-  {
-    const auto log_path = scratch.path() / "seed.log";
-    {
-      rv::RecordLogWriter writer(log_path);
-      for (int i = 0; i < 3; ++i) {
-        rv::Record r = rec;
-        r.sequence = static_cast<std::uint64_t>(i);
-        writer.write(r);
-      }
-      writer.close();
-    }
-    auto log_bytes = slurp(log_path);
-    emit(root, "record_log_scan", "clean_log", log_bytes);
-    log_bytes.resize(log_bytes.size() - 17);
-    emit(root, "record_log_scan", "torn_log", log_bytes);
-  }
-
   // wav: mono and stereo clips through the real encoder.
   {
     dynriver::dsp::WavClip mono;
@@ -225,6 +206,28 @@ int main(int argc, char** argv) {
              if (f.filename() == "seg-000000.drs") b[512] ^= 0x5A;
            }));
     }
+    log.close();
+  }
+
+  // segment_open: an unsealed single-segment store (no MANIFEST), whole and
+  // torn: the shape where the harness checks the cursor against recovery.
+  {
+    const auto store_dir = scratch.path() / "store_active";
+    fs::create_directories(store_dir);
+    rv::SegmentedRecordLog log(store_dir);
+    rv::AudioSegmentArchiver archiver(log, 22050.0, 256);
+    archiver.push(quantized_signal(1000, 7));
+    archiver.finish();
+    log.sync();
+    auto bytes = slurp(store_dir / "seg-000000.drs");
+    constexpr std::uint8_t kActiveSel = 1;  // kArchiveNames[1]: seg-000000.drs
+    std::vector<std::uint8_t> archive;
+    fz::pack_entry(archive, kActiveSel, bytes);
+    emit(root, "segment_open", "store_active_only", archive);
+    bytes.resize(bytes.size() - 7);
+    archive.clear();
+    fz::pack_entry(archive, kActiveSel, bytes);
+    emit(root, "segment_open", "store_active_only_torn", archive);
     log.close();
   }
   return 0;

@@ -10,12 +10,17 @@
 // clean torn-tail reports, never as a crash, a hang, or an attacker-sized
 // allocation — and the replay path the scheduler uses agrees with the
 // cursor: a cursor drain that ends cleanly replays cleanly to exactly the
-// cursor's audio samples, and any other end replays as unclean. Corpus seeds
-// are real stores serialized by corpus_gen, so coverage starts deep inside
-// the happy path.
+// cursor's audio samples, and any other end replays as unclean. And on an
+// unsealed single-segment store, a cursor and recovery judge the same bytes
+// by the same rules: a full drain serves exactly the records recovery keeps
+// and reports torn() exactly when recovery drops bytes. Corpus seeds are
+// real stores serialized by corpus_gen, so coverage starts deep inside the
+// happy path.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -32,8 +37,42 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto& dir = scratch.reset();
   fz::unpack_archive(data, size, dir);
 
-  // Read side: listing, integrity check, bounded drain.
   constexpr std::size_t kMaxRecords = 100000;  // plenty for any corpus store
+
+  // The reader/recovery agreement applies when the store is one unsealed
+  // segment file and nothing else (no MANIFEST): a full cursor drain here,
+  // recovery's verdict below.
+  const auto tail_path = dir / "seg-000000.drs";
+  bool single = false;
+  std::uintmax_t tail_size = 0;
+  {
+    std::size_t entries = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      (void)entry;
+      ++entries;
+    }
+    std::error_code ec;
+    single = entries == 1 && std::filesystem::is_regular_file(tail_path, ec);
+    if (single) tail_size = std::filesystem::file_size(tail_path);
+  }
+  std::size_t tail_drained = 0;
+  bool tail_torn = false;
+  bool tail_threw = false;
+  if (single) {
+    try {
+      rv::SegmentStoreReader reader(dir);
+      auto cursor = reader.seek(-std::numeric_limits<double>::infinity());
+      rv::Record rec;
+      while (single && cursor.next(rec)) {
+        single = ++tail_drained <= kMaxRecords;
+      }
+      tail_torn = cursor.torn();
+    } catch (const std::runtime_error&) {
+      tail_threw = true;
+    }
+  }
+
+  // Read side: listing, integrity check, bounded drain.
   bool opened = false;   // the MANIFEST parsed
   bool bounded = false;  // the drain stopped at kMaxRecords, not at the end
   bool clean = false;    // ...or ended without a throw and without torn()
@@ -94,6 +133,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Write side: crash recovery must adopt, truncate, or reject — cleanly.
   try {
     rv::SegmentedRecordLog log(dir);
+    const auto segments = log.segments();
+    // A file with a valid footer is adopted as sealed (and read with sealed
+    // semantics); anything else was scanned as a torn tail.
+    if (single && (segments.empty() || log.recovered_records() > 0)) {
+      const std::uint64_t header = rv::kSegmentHeaderBytes;
+      const std::uint64_t kept = segments.empty() ? 0 : segments[0].bytes;
+      const bool dropped = (tail_size > 0 && tail_size < header) ||
+                           (tail_size > header && kept < tail_size - header);
+      FUZZ_CHECK(!tail_threw);
+      FUZZ_CHECK(tail_drained == log.recovered_records());
+      FUZZ_CHECK(tail_torn == dropped);
+    }
     rv::Record rec;
     rec.payload = rv::FloatVec{0.25F, -0.5F};
     // Append strictly after whatever times recovery adopted (the store

@@ -34,7 +34,6 @@ DECODER_FILES = [
     "src/river/segment_format.cpp",
     "src/river/segment_reader.cpp",
     "src/river/segment_store.cpp",
-    "src/river/record_log.cpp",
     "src/dsp/wav.cpp",
 ]
 

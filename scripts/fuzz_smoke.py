@@ -35,7 +35,6 @@ HARNESSES = [
     "wire_decode",
     "bitpack",
     "segment_open",
-    "record_log_scan",
     "wav",
     "attrs",
 ]

@@ -79,17 +79,6 @@ RecordSampleSource::Next RecordChannelSource::next_record(Record& rec) {
   return Next::kLost;
 }
 
-RecordSampleSource::Next RecordLogSource::next_record(Record& rec) {
-  try {
-    if (reader_.next(rec)) return Next::kRecord;
-    // A torn tail (station died mid-frame) ends the complete prefix but is
-    // not a clean close.
-    return reader_.torn() ? Next::kLost : Next::kEnd;
-  } catch (const WireError&) {
-    return Next::kLost;  // structural corruption mid-log
-  }
-}
-
 std::vector<Record> ensemble_to_records(const Ensemble& ensemble,
                                         std::uint64_t ensemble_id,
                                         double sample_rate) {
@@ -107,18 +96,6 @@ std::vector<Record> ensemble_to_records(const Ensemble& ensemble,
   records.push_back(Record::data(kSubtypeAudio, ensemble.samples));
   records.push_back(Record::close_scope(kScopeEnsemble, 0));
   return records;
-}
-
-void RecordLogEnsembleSink::accept(Ensemble ensemble) {
-  for (const auto& rec :
-       ensemble_to_records(ensemble, next_id_, sample_rate_)) {
-    writer_.write(rec);
-  }
-  // An ensemble boundary is the natural durability point: a process dying
-  // between ensembles loses nothing, and one dying mid-ensemble loses only
-  // the torn frame kRecover already drops.
-  writer_.sync();
-  ++next_id_;
 }
 
 void ChannelEnsembleSink::accept(Ensemble ensemble) {

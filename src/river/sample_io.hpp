@@ -2,16 +2,16 @@
 // extraction sessions.
 //
 // A SampleSource yields raw amplitude samples chunk by chunk — from a WAV
-// file, a live record channel (TCP), a record log, or any callback — with
+// file, a live record channel (TCP), a segment store, or any callback — with
 // O(chunk) memory, so days of audio never need to fit in RAM. An
 // EnsembleSink consumes extracted ensembles as they close. Drivers
 // (core::run_stream) pump source -> StreamSession -> sink; every adapter
 // here is also usable standalone.
 //
 // The Ensemble value type itself lives here (core::Ensemble is an alias):
-// it is stream-model vocabulary — sinks persist it as scoped record
-// streams, channels ship it between hosts — and defining it below core
-// keeps the adapter layer free of extraction dependencies.
+// it is stream-model vocabulary — sinks ship it between hosts as scoped
+// record streams — and defining it below core keeps the adapter layer free
+// of extraction dependencies.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include "dsp/wav.hpp"
 #include "river/channel.hpp"
 #include "river/record.hpp"
-#include "river/record_log.hpp"
 
 namespace dynriver::river {
 
@@ -173,19 +172,6 @@ class RecordChannelSource final : public RecordSampleSource {
   std::shared_ptr<RecordChannel> channel_;
 };
 
-/// Replays the audio records of a log file (the paper's "data feed").
-class RecordLogSource final : public RecordSampleSource {
- public:
-  explicit RecordLogSource(const std::filesystem::path& path,
-                           std::uint32_t subtype = kSubtypeAudio)
-      : RecordSampleSource(subtype), reader_(path) {}
-
- private:
-  [[nodiscard]] Next next_record(Record& rec) override;
-
-  RecordLogReader reader_;
-};
-
 // ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
@@ -236,25 +222,6 @@ class CollectingEnsembleSink final : public EnsembleSink {
 [[nodiscard]] std::vector<Record> ensemble_to_records(const Ensemble& ensemble,
                                                       std::uint64_t ensemble_id,
                                                       double sample_rate);
-
-/// Persists each ensemble to a record log as its scoped record stream
-/// (durable archive of the ~20% of the stream worth keeping).
-class RecordLogEnsembleSink final : public EnsembleSink {
- public:
-  RecordLogEnsembleSink(const std::filesystem::path& path, double sample_rate,
-                        LogOpenMode mode = LogOpenMode::kTruncate)
-      : writer_(path, mode), sample_rate_(sample_rate) {}
-
-  void accept(Ensemble ensemble) override;
-  void finish() override { writer_.close(); }
-
-  [[nodiscard]] std::size_t ensembles_written() const { return next_id_; }
-
- private:
-  RecordLogWriter writer_;
-  double sample_rate_;
-  std::uint64_t next_id_ = 0;
-};
 
 /// Ships each ensemble into a RecordChannel as its scoped record stream
 /// (live hand-off to a downstream host); closes the channel on finish()

@@ -62,8 +62,7 @@ bool load_segment_footer(const fs::path& path, SegmentFooter& out,
   if (!read_exact(in, header.data(), header.size())) {
     return set_error(error, path.string() + ": short header read");
   }
-  if (get_raw<std::uint32_t>(header.data()) != kSegmentMagic ||
-      get_raw<std::uint16_t>(header.data() + 4) != kSegmentVersion) {
+  if (!segment_header_valid(header.data())) {
     return set_error(error, path.string() + ": bad segment header");
   }
   in.seekg(static_cast<std::streamoff>(size - kSegmentFooterBytes));

@@ -4,6 +4,7 @@
 // documented in segment_store.hpp.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -29,6 +30,37 @@ T get_raw(const std::uint8_t* src) {
 inline bool read_exact(std::ifstream& in, std::uint8_t* dst, std::size_t n) {
   in.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
   return std::cmp_equal(in.gcount(), n);
+}
+
+/// The one header rule: magic and version. An active segment whose header
+/// fails it is torn as a whole; a sealed one is damaged.
+inline bool segment_header_valid(const std::uint8_t* header) {
+  return get_raw<std::uint32_t>(header) == kSegmentMagic &&
+         get_raw<std::uint16_t>(header + 4) == kSegmentVersion;
+}
+
+/// One payload envelope: len u32 | t f64, then `len` bytes of wire frame.
+struct Envelope {
+  std::uint32_t len = 0;
+  double t = 0.0;
+};
+
+/// The one envelope rule. Every reader, crash recovery and compaction decide
+/// through it where a segment's valid payload ends. `left` counts the bytes
+/// from the envelope at `p` to the end of the payload region; `p` is read
+/// only when an envelope header fits in them. The envelope is valid when
+/// 0 < len <= kMaxSegmentFrameBytes, its header and frame fit in `left`, and
+/// its stamp is finite and not below `prev_t`, the stamp of the envelope
+/// before it in the segment (-inf for the first). The writer stamps nothing
+/// else, so whatever fails the rule is a torn tail or damage.
+inline bool parse_envelope(const std::uint8_t* p, std::uint64_t left,
+                           double prev_t, Envelope& out) {
+  if (left < kEnvelopeHeaderBytes) return false;
+  out.len = get_raw<std::uint32_t>(p);
+  out.t = get_raw<double>(p + 4);
+  return out.len != 0 && out.len <= kMaxSegmentFrameBytes &&
+         out.len <= left - kEnvelopeHeaderBytes && std::isfinite(out.t) &&
+         out.t >= prev_t;
 }
 
 std::string segment_name(std::uint64_t index);

@@ -3,7 +3,6 @@
 // and the prefetching SegmentStoreSource.
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <exception>
 #include <fstream>
 #include <limits>
@@ -59,14 +58,9 @@ bool SegmentStoreReader::verify(std::string* error) const {
         footer.payload_end - kSegmentHeaderBytes != s.bytes) {
       return set_error(error, path.string() + ": footer disagrees with manifest");
     }
+    // Loading checks the index CRC and every entry's bounds and order.
     std::vector<std::pair<double, std::uint64_t>> index;
     if (!load_segment_index(path, footer, index, error)) return false;
-    for (const auto& [t, offset] : index) {
-      if (offset < kSegmentHeaderBytes || offset >= footer.payload_end ||
-          std::isnan(t)) {
-        return set_error(error, path.string() + ": index entry out of bounds");
-      }
-    }
     std::ifstream in(path, std::ios::binary);
     if (!in) return set_error(error, "cannot open " + path.string());
     in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
@@ -188,7 +182,7 @@ bool SegmentWalk::load_active(SegmentWindow& w) const {
   const auto path = reader_->dir_ / reader_->active_name_;
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
-  if (ec || size <= kSegmentHeaderBytes) return false;  // nothing readable
+  if (ec || size == 0) return false;  // nothing written yet
   const auto& sealed = reader_->sealed_;
   const double sealed_t_max = sealed.empty()
                                   ? -std::numeric_limits<double>::infinity()
@@ -200,9 +194,10 @@ bool SegmentWalk::load_active(SegmentWindow& w) const {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;  // writer may have just sealed+rotated it
   std::array<std::uint8_t, kSegmentHeaderBytes> header;
-  // Header bytes still in the writer's buffer: nothing is readable yet.
+  // Header bytes still in the writer's buffer, or a header recovery would
+  // not accept: the whole file is torn.
   w.header_torn = !read_exact(in, header.data(), header.size()) ||
-                  get_raw<std::uint32_t>(header.data()) != kSegmentMagic;
+                  !segment_header_valid(header.data());
   // sealed_end != 0: the writer sealed this segment after our snapshot —
   // read exactly its payload, with sealed semantics (damage, not torn).
   w.active = sealed_end == 0;
@@ -229,33 +224,29 @@ EnvelopeScanner::Verdict EnvelopeScanner::next(const SegmentWindow& w,
   for (;;) {
     const std::size_t remaining = w.bytes.size() - pos_;
     if (remaining == 0) return Verdict::kDrained;
-    // A short or out-of-bounds envelope is the writer's in-flight tail in an
+    // An envelope that fails the rule is the writer's in-flight tail in an
     // active window (everything from here on is not yet readable) and
-    // damage in a sealed one.
-    if (remaining < kEnvelopeHeaderBytes) return broken;
+    // damage in a sealed one — the same place recovery truncates.
     const std::uint8_t* env = w.bytes.data() + pos_;
-    const auto len = get_raw<std::uint32_t>(env);
-    const auto t = get_raw<double>(env + 4);
-    if (len == 0 || len > kMaxSegmentFrameBytes ||
-        len > remaining - kEnvelopeHeaderBytes) {
-      return broken;
-    }
+    Envelope e;
+    if (!parse_envelope(env, remaining, prev_t_, e)) return broken;
     ++scanned_;
-    if (t >= t1_) return Verdict::kEnd;  // time is monotone
-    if (t < t0_) {                       // skip without decoding
-      pos_ += kEnvelopeHeaderBytes + len;
+    if (e.t >= t1_) return Verdict::kEnd;  // time is monotone
+    prev_t_ = e.t;
+    if (e.t < t0_) {  // skip without decoding
+      pos_ += kEnvelopeHeaderBytes + e.len;
       continue;
     }
     try {
       std::size_t consumed = 0;
-      out = decode_record_view(env + kEnvelopeHeaderBytes, len, consumed,
+      out = decode_record_view(env + kEnvelopeHeaderBytes, e.len, consumed,
                                scratch);
-      if (consumed != len) return broken;
+      if (consumed != e.len) return broken;
     } catch (const WireError&) {
       return broken;
     }
-    pos_ += kEnvelopeHeaderBytes + len;
-    time_ = t;
+    pos_ += kEnvelopeHeaderBytes + e.len;
+    time_ = e.t;
     return Verdict::kRecord;
   }
 }

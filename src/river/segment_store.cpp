@@ -33,25 +33,6 @@ void put_raw(std::uint8_t* dst, T value) {
   std::memcpy(dst, &value, sizeof(T));
 }
 
-std::array<std::uint8_t, kSegmentHeaderBytes> segment_header_bytes() {
-  std::array<std::uint8_t, kSegmentHeaderBytes> h{};
-  put_raw<std::uint32_t>(h.data(), kSegmentMagic);
-  put_raw<std::uint16_t>(h.data() + 4, kSegmentVersion);
-  put_raw<std::uint16_t>(h.data() + 6, 0);  // flags
-  return h;
-}
-
-void encode_footer_prefix(std::uint8_t* dst, const SegmentFooter& f) {
-  put_raw<std::uint64_t>(dst + 0, f.frames);
-  put_raw<std::uint64_t>(dst + 8, f.payload_end);
-  put_raw<std::uint32_t>(dst + 16, f.index_count);
-  put_raw<std::uint16_t>(dst + 20, f.version);
-  put_raw<std::uint16_t>(dst + 22, f.flags);
-  put_raw<double>(dst + 24, f.t_min);
-  put_raw<double>(dst + 32, f.t_max);
-  put_raw<std::uint32_t>(dst + 40, f.payload_crc);
-}
-
 void fsync_directory(const fs::path& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd >= 0) {
@@ -183,72 +164,55 @@ void SegmentedRecordLog::recover() {
       }
       // Sealed but unpublished: the crash hit between the footer write and
       // the manifest publish. Adopt it.
-      SegmentInfo info;
-      info.name = path.filename().string();
-      info.frames = footer.frames;
-      info.bytes = footer.payload_end - kSegmentHeaderBytes;
-      info.t_min = footer.t_min;
-      info.t_max = footer.t_max;
-      info.payload_crc = footer.payload_crc;
-      info.sealed = true;
-      sealed_.push_back(std::move(info));
+      sealed_.push_back(SegmentInfo{path.filename().string(), footer.frames,
+                                    footer.payload_end - kSegmentHeaderBytes,
+                                    footer.t_min, footer.t_max,
+                                    footer.payload_crc, true});
       next_index_ = index + 1;
       manifest_dirty = true;
       continue;
     }
     // The torn active segment of the previous writer: keep its valid prefix
-    // (streamed, bounded memory), seal what survived, drop the rest.
-    std::ifstream in(path, std::ios::binary);
+    // (streamed, bounded memory), seal what survived, drop the rest. Only
+    // bytes that were read and failed the rules are dropped: a file that
+    // cannot be opened, sized or read fails the open instead (fail closed).
     std::error_code ec;
     const std::uint64_t size = fs::file_size(path, ec);
+    std::ifstream in(path, std::ios::binary);
+    if (ec || !in) {
+      throw std::runtime_error("segment store recovery: cannot read " +
+                               path.string());
+    }
     std::array<std::uint8_t, kSegmentHeaderBytes> header;
-    const bool header_ok =
-        !ec && in && size >= kSegmentHeaderBytes &&
-        read_exact(in, header.data(), header.size()) &&
-        get_raw<std::uint32_t>(header.data()) == kSegmentMagic &&
-        get_raw<std::uint16_t>(header.data() + 4) == kSegmentVersion;
     ActiveSegment scan;
     scan.index = index;
-    std::uint64_t pos = kSegmentHeaderBytes;
-    std::uint64_t valid = kSegmentHeaderBytes;
-    if (header_ok) {
+    if (read_exact(in, header.data(), header.size()) &&
+        segment_header_valid(header.data())) {
       std::vector<std::uint8_t> frame;
       std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-      double prev_t = -std::numeric_limits<double>::infinity();
-      while (pos + kEnvelopeHeaderBytes <= size) {
-        if (!read_exact(in, env.data(), env.size())) break;
-        const auto len = get_raw<std::uint32_t>(env.data());
-        const auto t = get_raw<double>(env.data() + 4);
-        if (len == 0 || len > kMaxSegmentFrameBytes ||
-            pos + kEnvelopeHeaderBytes + len > size || std::isnan(t) ||
-            t < prev_t) {
-          break;
-        }
-        frame.resize(len);
-        if (!read_exact(in, frame.data(), len)) break;
+      WireScratch scratch;
+      std::uint64_t pos = kSegmentHeaderBytes;
+      Envelope e;
+      while (size - pos >= kEnvelopeHeaderBytes &&
+             read_exact(in, env.data(), env.size()) &&
+             parse_envelope(env.data(), size - pos, scan.floor_t(), e)) {
+        frame.resize(e.len);
+        if (!read_exact(in, frame.data(), e.len)) break;
         try {
           std::size_t consumed = 0;
-          (void)decode_record(frame.data(), len, consumed);
-          if (consumed != len) break;
+          (void)decode_record_view(frame.data(), e.len, consumed, scratch);
+          if (consumed != e.len) break;
         } catch (const WireError&) {
           break;
         }
-        if (scan.frames == 0 ||
-            scan.payload_bytes - scan.last_index_bytes >=
-                options_.index_every_bytes) {
-          scan.index_entries.emplace_back(t, pos);
-          scan.last_index_bytes = scan.payload_bytes;
-        }
-        scan.crc = crc32c(env.data(), env.size(), scan.crc);
-        scan.crc = crc32c(frame.data(), len, scan.crc);
-        if (scan.frames == 0) scan.t_min = t;
-        scan.t_max = t;
-        prev_t = t;
-        ++scan.frames;
-        pos += kEnvelopeHeaderBytes + len;
-        scan.payload_bytes += kEnvelopeHeaderBytes + len;
-        valid = pos;
+        scan.account(env.data(), frame.data(), e.len, e.t,
+                     options_.index_every_bytes);
+        pos += kEnvelopeHeaderBytes + e.len;
       }
+    }
+    if (in.bad()) {
+      throw std::runtime_error("segment store recovery: read failed: " +
+                               path.string());
     }
     in.close();
     if (scan.frames == 0) {
@@ -256,6 +220,7 @@ void SegmentedRecordLog::recover() {
       next_index_ = std::max(next_index_, index);
       continue;
     }
+    const std::uint64_t valid = kSegmentHeaderBytes + scan.payload_bytes;
     if (valid < size) fs::resize_file(path, valid);
     scan.file = std::fopen(path.c_str(), "ab");
     if (scan.file == nullptr) {
@@ -273,21 +238,106 @@ void SegmentedRecordLog::recover() {
   if (manifest_dirty) write_manifest();
 }
 
-void SegmentedRecordLog::open_active() {
-  ActiveSegment fresh;
-  fresh.index = next_index_;
-  const auto path = dir_ / segment_name(fresh.index);
-  fresh.file = std::fopen(path.c_str(), "wb");
-  if (fresh.file == nullptr) {
+// ---------------------------------------------------------------------------
+// One append/seal path: every segment the store writes is created, grown
+// and sealed through these.
+// ---------------------------------------------------------------------------
+
+void SegmentedRecordLog::ActiveSegment::account(
+    const std::uint8_t* env, const std::uint8_t* frame, std::uint32_t len,
+    double t, std::uint64_t index_every_bytes) {
+  if (frames == 0 || payload_bytes - last_index_bytes >= index_every_bytes) {
+    index_entries.emplace_back(t, kSegmentHeaderBytes + payload_bytes);
+    last_index_bytes = payload_bytes;
+  }
+  crc = crc32c(env, kEnvelopeHeaderBytes, crc);
+  crc = crc32c(frame, len, crc);
+  if (frames == 0) t_min = t;
+  t_max = t;
+  ++frames;
+  payload_bytes += kEnvelopeHeaderBytes + len;
+}
+
+bool SegmentedRecordLog::ActiveSegment::write(const std::uint8_t* env,
+                                              const std::uint8_t* frame,
+                                              std::uint32_t len, double t,
+                                              std::uint64_t index_every_bytes) {
+  if (std::fwrite(env, 1, kEnvelopeHeaderBytes, file) != kEnvelopeHeaderBytes ||
+      std::fwrite(frame, 1, len, file) != len) {
+    return false;
+  }
+  account(env, frame, len, t, index_every_bytes);
+  return true;
+}
+
+SegmentInfo SegmentedRecordLog::ActiveSegment::info(std::string name,
+                                                    bool sealed) const {
+  return SegmentInfo{std::move(name), frames, payload_bytes, t_min,
+                     t_max,           crc,    sealed};
+}
+
+SegmentedRecordLog::ActiveSegment SegmentedRecordLog::create_segment(
+    const fs::path& path, std::uint64_t index) {
+  ActiveSegment seg;
+  seg.index = index;
+  seg.file = std::fopen(path.c_str(), "wb");
+  if (seg.file == nullptr) {
     throw std::runtime_error("cannot open segment: " + path.string());
   }
-  const auto header = segment_header_bytes();
-  if (std::fwrite(header.data(), 1, header.size(), fresh.file) !=
+  std::array<std::uint8_t, kSegmentHeaderBytes> header{};  // flags 0
+  put_raw<std::uint32_t>(header.data(), kSegmentMagic);
+  put_raw<std::uint16_t>(header.data() + 4, kSegmentVersion);
+  if (std::fwrite(header.data(), 1, header.size(), seg.file) !=
       header.size()) {
-    std::fclose(fresh.file);  // best-effort: segment abandoned, throwing
+    std::fclose(seg.file);  // best-effort: segment abandoned, throwing
     throw std::runtime_error("segment header write failed: " + path.string());
   }
-  active_ = std::move(fresh);
+  return seg;
+}
+
+SegmentInfo SegmentedRecordLog::seal_segment(ActiveSegment& seg,
+                                             const std::string& name) const {
+  // Tail = sparse index then footer; footer_crc covers both up to itself.
+  std::vector<std::uint8_t> tail(seg.index_entries.size() * kIndexEntryBytes +
+                                 kSegmentFooterBytes);
+  std::uint8_t* p = tail.data();
+  for (const auto& [t, offset] : seg.index_entries) {
+    put_raw<double>(p, t);
+    put_raw<std::uint64_t>(p + 8, offset);
+    p += kIndexEntryBytes;
+  }
+  put_raw<std::uint64_t>(p + 0, seg.frames);
+  put_raw<std::uint64_t>(p + 8, kSegmentHeaderBytes + seg.payload_bytes);
+  put_raw<std::uint32_t>(p + 16,
+                         static_cast<std::uint32_t>(seg.index_entries.size()));
+  put_raw<std::uint16_t>(p + 20, kSegmentVersion);
+  put_raw<std::uint16_t>(p + 22, 0);  // flags
+  put_raw<double>(p + 24, seg.t_min);
+  put_raw<double>(p + 32, seg.t_max);
+  put_raw<std::uint32_t>(p + 40, seg.crc);
+  put_raw<std::uint32_t>(p + kFooterCrcOffset,
+                         crc32c(tail.data(), tail.size() - kSegmentFooterBytes +
+                                                 kFooterCrcOffset));
+  put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
+
+  std::FILE* file = std::exchange(seg.file, nullptr);
+  const bool wrote = std::fwrite(tail.data(), 1, tail.size(), file) == tail.size();
+  if (wrote && options_.sync_on_seal) {
+    try {
+      fsync_file(file, name);
+    } catch (...) {
+      std::fclose(file);  // best-effort: the segment is dropped, rethrowing
+      throw;
+    }
+  }
+  if (std::fclose(file) != 0 || !wrote) {
+    throw std::runtime_error("segment seal failed: " + (dir_ / name).string());
+  }
+  return seg.info(name, true);
+}
+
+void SegmentedRecordLog::open_active() {
+  active_ = create_segment(dir_ / segment_name(next_index_), next_index_);
 }
 
 void SegmentedRecordLog::append(const Record& rec, double t) {
@@ -308,29 +358,14 @@ void SegmentedRecordLog::append(const Record& rec, double t) {
       encode_record(rec, options_.pack_payloads ? PayloadCodec::kPacked
                                                 : PayloadCodec::kRaw);
   DR_EXPECTS(frame.size() <= kMaxSegmentFrameBytes);
+  const auto len = static_cast<std::uint32_t>(frame.size());
   std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-  put_raw<std::uint32_t>(env.data(), static_cast<std::uint32_t>(frame.size()));
+  put_raw<std::uint32_t>(env.data(), len);
   put_raw<double>(env.data() + 4, t);
-
-  if (active_.frames == 0 ||
-      active_.payload_bytes - active_.last_index_bytes >=
-          options_.index_every_bytes) {
-    active_.index_entries.emplace_back(
-        t, kSegmentHeaderBytes + active_.payload_bytes);
-    active_.last_index_bytes = active_.payload_bytes;
-  }
-
-  if (std::fwrite(env.data(), 1, env.size(), active_.file) != env.size() ||
-      std::fwrite(frame.data(), 1, frame.size(), active_.file) !=
-          frame.size()) {
+  if (!active_.write(env.data(), frame.data(), len, t,
+                     options_.index_every_bytes)) {
     throw std::runtime_error("segment append failed in " + dir_.string());
   }
-  active_.crc = crc32c(env.data(), env.size(), active_.crc);
-  active_.crc = crc32c(frame.data(), frame.size(), active_.crc);
-  if (active_.frames == 0) active_.t_min = t;
-  active_.t_max = t;
-  active_.payload_bytes += env.size() + frame.size();
-  ++active_.frames;
   last_t_ = t;
   ++written_;
 }
@@ -349,70 +384,19 @@ void SegmentedRecordLog::seal_active() {
 void SegmentedRecordLog::seal_active_locked() {
   if (active_.file == nullptr) return;
   const auto name = segment_name(active_.index);
-  const auto path = dir_ / name;
   if (active_.frames == 0) {
     std::fclose(active_.file);  // best-effort: empty segment, removed below
     active_ = ActiveSegment{};
-    fs::remove(path);
+    fs::remove(dir_ / name);
     return;
   }
-
-  // Tail = sparse index then footer; footer_crc covers both up to itself.
-  std::vector<std::uint8_t> tail(
-      active_.index_entries.size() * kIndexEntryBytes + kSegmentFooterBytes);
-  std::uint8_t* p = tail.data();
-  for (const auto& [t, offset] : active_.index_entries) {
-    put_raw<double>(p, t);
-    put_raw<std::uint64_t>(p + 8, offset);
-    p += kIndexEntryBytes;
-  }
-  SegmentFooter footer;
-  footer.frames = active_.frames;
-  footer.payload_end = kSegmentHeaderBytes + active_.payload_bytes;
-  footer.index_count = static_cast<std::uint32_t>(active_.index_entries.size());
-  footer.version = kSegmentVersion;
-  footer.flags = 0;
-  footer.t_min = active_.t_min;
-  footer.t_max = active_.t_max;
-  footer.payload_crc = active_.crc;
-  encode_footer_prefix(p, footer);
-  const std::uint32_t footer_crc =
-      crc32c(tail.data(), tail.size() - kSegmentFooterBytes + kFooterCrcOffset);
-  put_raw<std::uint32_t>(p + kFooterCrcOffset, footer_crc);
-  put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
-
-  const bool wrote =
-      std::fwrite(tail.data(), 1, tail.size(), active_.file) == tail.size();
-  if (wrote && options_.sync_on_seal) {
-    try {
-      fsync_file(active_.file, name);
-    } catch (...) {
-      // Never leave a half-sealed segment as the active one: a retry (or
-      // the destructor's close()) would append a second tail to the same
-      // file. Drop it; recovery adopts the file on reopen — as a sealed
-      // segment if the tail reached disk, else by valid-prefix truncation.
-      std::fclose(active_.file);  // best-effort: segment dropped, rethrowing
-      active_ = ActiveSegment{};
-      throw;
-    }
-  }
-  const bool closed = std::fclose(active_.file) == 0;
-  if (!wrote || !closed) {
-    active_ = ActiveSegment{};
-    throw std::runtime_error("segment seal failed: " + path.string());
-  }
-
-  SegmentInfo info;
-  info.name = name;
-  info.frames = active_.frames;
-  info.bytes = active_.payload_bytes;
-  info.t_min = active_.t_min;
-  info.t_max = active_.t_max;
-  info.payload_crc = active_.crc;
-  info.sealed = true;
-  sealed_.push_back(std::move(info));
-  next_index_ = active_.index + 1;
-  active_ = ActiveSegment{};
+  // Never leave a half-sealed segment as the active one: a retry (or the
+  // destructor's close()) would append a second tail to the same file. Drop
+  // it whatever happens; recovery adopts the file on reopen — as a sealed
+  // segment if the tail reached disk, else by valid-prefix truncation.
+  ActiveSegment sealing = std::exchange(active_, ActiveSegment{});
+  sealed_.push_back(seal_segment(sealing, name));
+  next_index_ = sealing.index + 1;
   write_manifest();
 }
 
@@ -449,6 +433,49 @@ std::size_t SegmentedRecordLog::retire_before_locked(
   return victims.size();
 }
 
+void SegmentedRecordLog::copy_sealed_payload(const SegmentInfo& source,
+                                             ActiveSegment& into) const {
+  const auto path = dir_ / source.name;
+  SegmentFooter footer;
+  std::string err;
+  if (!load_segment_footer(path, footer, &err)) {
+    throw std::runtime_error("compaction: " + err);
+  }
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
+  std::vector<std::uint8_t> frame;
+  std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
+  std::uint32_t crc = 0;
+  std::uint64_t frames = 0;
+  std::uint64_t pos = kSegmentHeaderBytes;
+  while (pos < footer.payload_end) {
+    Envelope e;
+    if (!read_exact(in, env.data(), env.size()) ||
+        !parse_envelope(env.data(), footer.payload_end - pos, into.floor_t(),
+                        e)) {
+      throw std::runtime_error("compaction: corrupt envelope in " +
+                               path.string());
+    }
+    frame.resize(e.len);
+    if (!read_exact(in, frame.data(), e.len)) {
+      throw std::runtime_error("compaction: short read in " + path.string());
+    }
+    crc = crc32c(env.data(), env.size(), crc);
+    crc = crc32c(frame.data(), e.len, crc);
+    ++frames;
+    if (!into.write(env.data(), frame.data(), e.len, e.t,
+                    options_.index_every_bytes)) {
+      throw std::runtime_error("compaction: write failed in " + dir_.string());
+    }
+    pos += kEnvelopeHeaderBytes + e.len;
+  }
+  if (crc != footer.payload_crc || crc != source.payload_crc ||
+      frames != footer.frames) {
+    throw std::runtime_error("compaction: payload checksum mismatch in " +
+                             path.string());
+  }
+}
+
 std::size_t SegmentedRecordLog::compact(std::uint64_t min_bytes,
                                         std::size_t max_run) {
   const common::LockGuard lock(mu_);
@@ -482,124 +509,24 @@ std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
     const auto merged_index = next_index_;
     const auto merged_name = segment_name(merged_index);
     const auto tmp = fs::path((dir_ / merged_name).string() + ".tmp");
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr) {
-      throw std::runtime_error("compaction: cannot open " + tmp.string());
-    }
-    const auto header = segment_header_bytes();
-    if (std::fwrite(header.data(), 1, header.size(), out) != header.size()) {
-      std::fclose(out);  // best-effort: .tmp discarded on throw
-      throw std::runtime_error("compaction: header write failed: " +
-                               tmp.string());
-    }
-
     // Merge by raw envelope copy: frames are never re-encoded, only the
-    // index/footer are rebuilt over the concatenation.
-    ActiveSegment merged;
-    merged.index = merged_index;
-    std::vector<std::uint8_t> frame;
-    std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-    for (std::size_t i = run_begin; i < run_end; ++i) {
-      const auto path = dir_ / sealed_[i].name;
-      SegmentFooter footer;
-      std::string err;
-      if (!load_segment_footer(path, footer, &err)) {
-        std::fclose(out);  // best-effort: .tmp discarded on throw
-        throw std::runtime_error("compaction: " + err);
-      }
-      std::ifstream in(path, std::ios::binary);
-      in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
-      std::uint64_t pos = kSegmentHeaderBytes;
-      while (pos < footer.payload_end) {
-        if (!read_exact(in, env.data(), env.size())) break;
-        const auto len = get_raw<std::uint32_t>(env.data());
-        const auto t = get_raw<double>(env.data() + 4);
-        if (len == 0 || len > kMaxSegmentFrameBytes ||
-            pos + kEnvelopeHeaderBytes + len > footer.payload_end) {
-          std::fclose(out);  // best-effort: .tmp discarded on throw
-          throw std::runtime_error("compaction: corrupt envelope in " +
-                                   path.string());
-        }
-        frame.resize(len);
-        if (!read_exact(in, frame.data(), len)) {
-          std::fclose(out);  // best-effort: .tmp discarded on throw
-          throw std::runtime_error("compaction: short read in " +
-                                   path.string());
-        }
-        if (merged.frames == 0 ||
-            merged.payload_bytes - merged.last_index_bytes >=
-                options_.index_every_bytes) {
-          merged.index_entries.emplace_back(
-              t, kSegmentHeaderBytes + merged.payload_bytes);
-          merged.last_index_bytes = merged.payload_bytes;
-        }
-        if (std::fwrite(env.data(), 1, env.size(), out) != env.size() ||
-            std::fwrite(frame.data(), 1, len, out) != len) {
-          std::fclose(out);  // best-effort: .tmp discarded on throw
-          throw std::runtime_error("compaction: write failed: " +
-                                   tmp.string());
-        }
-        merged.crc = crc32c(env.data(), env.size(), merged.crc);
-        merged.crc = crc32c(frame.data(), len, merged.crc);
-        if (merged.frames == 0) merged.t_min = t;
-        merged.t_max = t;
-        ++merged.frames;
-        pos += kEnvelopeHeaderBytes + len;
-        merged.payload_bytes += kEnvelopeHeaderBytes + len;
-      }
-    }
-
-    // Seal the temp file, then journal the swap in the manifest BEFORE the
-    // rename: recovery rolls the rename forward (manifest names a file that
-    // only exists as .tmp) and deletes the replaced segments (indexes below
-    // `next`).
-    {
-      std::vector<std::uint8_t> tail(
-          merged.index_entries.size() * kIndexEntryBytes + kSegmentFooterBytes);
-      std::uint8_t* p = tail.data();
-      for (const auto& [t, offset] : merged.index_entries) {
-        put_raw<double>(p, t);
-        put_raw<std::uint64_t>(p + 8, offset);
-        p += kIndexEntryBytes;
-      }
-      SegmentFooter footer;
-      footer.frames = merged.frames;
-      footer.payload_end = kSegmentHeaderBytes + merged.payload_bytes;
-      footer.index_count =
-          static_cast<std::uint32_t>(merged.index_entries.size());
-      footer.version = kSegmentVersion;
-      footer.flags = 0;
-      footer.t_min = merged.t_min;
-      footer.t_max = merged.t_max;
-      footer.payload_crc = merged.crc;
-      encode_footer_prefix(p, footer);
-      const std::uint32_t footer_crc = crc32c(
-          tail.data(), tail.size() - kSegmentFooterBytes + kFooterCrcOffset);
-      put_raw<std::uint32_t>(p + kFooterCrcOffset, footer_crc);
-      put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
-      const bool wrote =
-          std::fwrite(tail.data(), 1, tail.size(), out) == tail.size();
-      if (wrote && options_.sync_on_seal) {
-        try {
-          fsync_file(out, merged_name);
-        } catch (...) {
-          std::fclose(out);  // best-effort: pre-publish .tmp, recovery removes it
-          throw;
-        }
-      }
-      const bool closed = std::fclose(out) == 0;
-      if (!wrote || !closed) {
-        throw std::runtime_error("compaction: seal failed: " + tmp.string());
-      }
-    }
+    // index/footer are rebuilt over the concatenation. The copy re-checks
+    // each source against its payload CRC and the envelope rule; a mismatch
+    // abandons the merge before the manifest is touched, leaving the damaged
+    // segment in place for verify() to report.
+    ActiveSegment merged = create_segment(tmp, merged_index);
     SegmentInfo merged_info;
-    merged_info.name = merged_name;
-    merged_info.frames = merged.frames;
-    merged_info.bytes = merged.payload_bytes;
-    merged_info.t_min = merged.t_min;
-    merged_info.t_max = merged.t_max;
-    merged_info.payload_crc = merged.crc;
-    merged_info.sealed = true;
+    try {
+      for (std::size_t i = run_begin; i < run_end; ++i) {
+        copy_sealed_payload(sealed_[i], merged);
+      }
+      merged_info = seal_segment(merged, merged_name);
+    } catch (...) {
+      if (merged.file != nullptr) std::fclose(merged.file);  // best-effort
+      std::error_code ec;
+      fs::remove(tmp, ec);  // pre-publish: nothing references it
+      throw;
+    }
     std::vector<std::string> replaced;
     for (std::size_t i = run_begin; i < run_end; ++i) {
       replaced.push_back(sealed_[i].name);
@@ -616,7 +543,7 @@ std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
     for (const auto& name : replaced) fs::remove(dir_ / name);
 
     removed += replaced.size() - 1;
-    if (bytes_rewritten != nullptr) *bytes_rewritten += merged.payload_bytes;
+    if (bytes_rewritten != nullptr) *bytes_rewritten += merged_info.bytes;
     run_begin += 1;  // continue after the merged entry
   }
   return removed;
@@ -641,15 +568,7 @@ std::vector<SegmentInfo> SegmentedRecordLog::segments() const {
   const common::LockGuard lock(mu_);
   auto out = sealed_;
   if (active_.file != nullptr) {
-    SegmentInfo info;
-    info.name = segment_name(active_.index);
-    info.frames = active_.frames;
-    info.bytes = active_.payload_bytes;
-    info.t_min = active_.t_min;
-    info.t_max = active_.t_max;
-    info.payload_crc = active_.crc;
-    info.sealed = false;
-    out.push_back(std::move(info));
+    out.push_back(active_.info(segment_name(active_.index), false));
   }
   return out;
 }

@@ -1,9 +1,9 @@
-// Archive-scale segment store for record streams.
+// Segment store: the one durable format for record streams, from one
+// clip's readout (a single segment) to months of hydrophone audio.
 //
-// The flat RecordLog is right for one clip or one session's readout; an
-// archive of months of hydrophone audio needs structure. SegmentedRecordLog
-// rotates a record stream (each record stamped with a stream time) into
-// immutable *sealed* segments plus one append-only *active* segment:
+// SegmentedRecordLog rotates a record stream (each record stamped with a
+// stream time) into immutable *sealed* segments plus one append-only
+// *active* segment:
 //
 //   store directory
 //   ├── MANIFEST            atomic snapshot of the sealed segment list
@@ -24,13 +24,20 @@
 // the index region plus the footer up to itself, so every byte after the
 // 8-byte header is checksummed. Readers locate the footer at EOF - 52.
 //
+// One envelope rule (detail::parse_envelope) decides where a payload's
+// valid part ends, for readers, recovery and compaction alike: 0 < len <=
+// kMaxSegmentFrameBytes, the frame fits in the bytes left, and the stamp is
+// finite and not below the one before it. A frame must also decode as
+// exactly `len` bytes of wire frame.
+//
 // Guarantees:
 //   - seek(t0, t1) is O(log segments) manifest search + one index probe +
 //     a bounded scan; only segments overlapping [t0, t1) are ever opened.
 //   - Readers are safe concurrently with the writer's append/seal: they
 //     see the sealed list through the atomically-renamed MANIFEST plus a
 //     bounded snapshot of the active tail (complete frames only; in-flight
-//     bytes surface as a torn tail, exactly like a flat log mid-write).
+//     bytes surface as a torn tail). A reader drains exactly the records
+//     recovery would keep from the same active tail.
 //     Readers also retry a segment's temp name, so an in-flight compaction
 //     rename cannot fail them spuriously. retire_before()/compact() DELETE
 //     files, however: a reader opened before such a call may fail once a
@@ -38,7 +45,11 @@
 //   - Crash recovery on reopen adopts any sealed-but-unmanifested segment,
 //     rolls forward an interrupted compaction, truncates the active
 //     segment to its valid prefix and seals what survived — all with
-//     bounded memory.
+//     bounded memory. A segment file it cannot read fails the open; only
+//     bytes that were read and failed the rules are dropped.
+//   - Compaction checks each source segment's payload CRC and the envelope
+//     rule while it copies, and throws before touching the manifest on a
+//     mismatch: damage stays where verify() reports it.
 #pragma once
 
 #include <cstdint>
@@ -216,6 +227,8 @@ class SegmentedRecordLog {
   };
 
  private:
+  /// A segment being grown: the writer's active segment, the valid prefix
+  /// recovery scans, or a compaction's merged output.
   struct ActiveSegment {
     std::FILE* file = nullptr;
     std::uint64_t index = 0;  ///< numeric suffix of the file name
@@ -226,7 +239,38 @@ class SegmentedRecordLog {
     std::uint32_t crc = 0;
     std::uint64_t last_index_bytes = 0;
     std::vector<std::pair<double, std::uint64_t>> index_entries;
+
+    /// Stamp floor of the next envelope under the envelope rule.
+    [[nodiscard]] double floor_t() const {
+      return frames == 0 ? -std::numeric_limits<double>::infinity() : t_max;
+    }
+    /// Count one envelope that now ends the payload: its sparse-index entry,
+    /// the CRC chain, the time span, frames and payload bytes. Append,
+    /// recovery and compaction all grow a segment through this.
+    void account(const std::uint8_t* env, const std::uint8_t* frame,
+                 std::uint32_t len, double t, std::uint64_t index_every_bytes);
+    /// Write one envelope to `file`, then account() it; false when the
+    /// write failed.
+    [[nodiscard]] bool write(const std::uint8_t* env, const std::uint8_t* frame,
+                             std::uint32_t len, double t,
+                             std::uint64_t index_every_bytes);
+    /// The listing of this segment under `name`.
+    [[nodiscard]] SegmentInfo info(std::string name, bool sealed) const;
   };
+
+  /// Create `path` holding just a segment header, as segment `index`.
+  [[nodiscard]] static ActiveSegment create_segment(
+      const std::filesystem::path& path, std::uint64_t index);
+  /// The one seal: append `seg`'s sparse index and footer, fsync when
+  /// sync_on_seal, and close its file, which is closed however this ends.
+  /// Returns the sealed listing under `name`; throws if the tail did not
+  /// reach the file.
+  SegmentInfo seal_segment(ActiveSegment& seg, const std::string& name) const;
+
+  /// Compaction's copy of one sealed source into `into`, checked against
+  /// the envelope rule and the source's payload CRC; throws on a mismatch.
+  void copy_sealed_payload(const SegmentInfo& source,
+                           ActiveSegment& into) const;
 
   void open_active() DR_REQUIRES(mu_);
   void write_manifest() const DR_REQUIRES(mu_);
@@ -301,7 +345,10 @@ class EnvelopeScanner {
   EnvelopeScanner(double t0, double t1) : t0_(t0), t1_(t1) {}
 
   /// Start on a freshly loaded window.
-  void reset() { pos_ = 0; }
+  void reset() {
+    pos_ = 0;
+    prev_t_ = -std::numeric_limits<double>::infinity();
+  }
 
   /// Decode the next in-range record of `w` into `out` (spans borrow `w`
   /// and `scratch`). Every verdict but kRecord repeats until reset().
@@ -320,6 +367,8 @@ class EnvelopeScanner {
   double t0_;
   double t1_;
   std::size_t pos_ = 0;  ///< offset in the window of the next envelope
+  /// Stamp of the window's last envelope (the envelope rule's floor).
+  double prev_t_ = -std::numeric_limits<double>::infinity();
   double time_ = 0.0;
   std::size_t scanned_ = 0;
 };

@@ -1,6 +1,6 @@
 // Sample sources and ensemble sinks (river/sample_io.hpp): chunked reads,
 // end-of-stream semantics, clean/abnormal close reporting, WAV streaming
-// equivalence, and record-log / channel round trips.
+// equivalence, and segment-store / channel round trips.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,8 +9,8 @@
 #include "dsp/wav.hpp"
 #include "river/channel.hpp"
 #include "river/record.hpp"
-#include "river/record_log.hpp"
 #include "river/sample_io.hpp"
+#include "river/segment_store.hpp"
 #include "test_support.hpp"
 
 namespace dsp = dynriver::dsp;
@@ -125,132 +125,18 @@ TEST_F(SampleIoFileTest, EnsembleRecordsCarryProvenance) {
   EXPECT_EQ(records[2].type, river::RecordType::kCloseScope);
 }
 
-TEST_F(SampleIoFileTest, RecordLogSinkThenSourceRoundTrips) {
-  const auto path = temp_file("ensembles.rlog");
-  const river::Ensemble a{100, ramp(500)};
-  const river::Ensemble b{9000, ramp(321)};
-  {
-    river::RecordLogEnsembleSink sink(path, 21600.0);
-    sink.accept(a);
-    sink.accept(b);
-    sink.finish();
-    EXPECT_EQ(sink.ensembles_written(), 2U);
-  }
-
-  // The source replays the audio payloads as one concatenated stream.
-  river::RecordLogSource source(path);
-  auto got = drain(source, 256);
-  std::vector<float> want(a.samples);
-  want.insert(want.end(), b.samples.begin(), b.samples.end());
-  EXPECT_EQ(got, want);
-  EXPECT_TRUE(source.clean());
-  EXPECT_TRUE(source.exhausted());
-  EXPECT_EQ(source.records_in(), 6U);  // 2 x (open + data + close)
-}
-
-TEST_F(SampleIoFileTest, RecordLogSourceReportsTornTailAsLostNotError) {
-  // A station that died mid-frame leaves a torn tail; the source must
-  // deliver every complete ensemble and flag the end as unclean — without
-  // throwing (that regression lived in RecordLogReader::next).
-  const auto path = temp_file("torn.rlog");
-  {
-    river::RecordLogEnsembleSink sink(path, 21600.0);
-    sink.accept(river::Ensemble{100, ramp(500)});
-    sink.accept(river::Ensemble{9000, ramp(300)});
-    sink.finish();
-  }
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 7);
-
-  river::RecordLogSource source(path);
-  const auto got = drain(source, 256);
-  EXPECT_EQ(got.size(), 500u + 300u);  // the data frames all precede the cut
-  EXPECT_FALSE(source.clean());
-  EXPECT_TRUE(source.exhausted());
-}
-
-TEST_F(SampleIoFileTest, FlatLogSingleBitFlipNeverCrashesScanOrDrain) {
-  // The corruption drill the segment store gets, applied to the flat log:
-  // any one-bit flip anywhere may cost records, but the scan must stay
-  // inside the file and the reader must either stop cleanly (torn tail) or
-  // throw WireError — never crash, hang, or fabricate records.
-  const auto path = temp_file("flip.rlog");
-  {
-    river::RecordLogWriter writer(path);
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      auto rec = Record::data(river::kSubtypeAudio, ramp(120));
-      rec.sequence = i;
-      writer.write(rec);
-    }
-    writer.close();
-  }
-  const auto size = std::filesystem::file_size(path);
-
-  testsupport::sweep_file_bit_flips(path, [&](std::size_t at) {
-    const auto [valid_bytes, valid_records] =
-        river::scan_log_valid_prefix(path);
-    EXPECT_LE(valid_bytes, size) << "flip at byte " << at;
-    EXPECT_LE(valid_records, 3U) << "flip at byte " << at;
-
-    river::RecordLogReader reader(path);
-    Record rec;
-    std::size_t drained = 0;
-    try {
-      while (reader.next(rec)) ++drained;
-      // Clean end (possibly torn): the reader and the scanner must agree on
-      // the recoverable prefix.
-      EXPECT_EQ(drained, valid_records) << "flip at byte " << at;
-    } catch (const river::WireError&) {
-      // Structural corruption past the valid prefix.
-      EXPECT_LE(drained, valid_records) << "flip at byte " << at;
-    }
-  });
-
-  // The sweep restored the file: everything reads back.
-  EXPECT_EQ(river::scan_log_valid_prefix(path).second, 3U);
-}
-
-TEST_F(SampleIoFileTest, FlatLogTruncatedAtEveryByteDrainsThePrefix) {
-  // Pure truncation is always a torn tail, never structural corruption:
-  // every complete frame before the cut must come back, with no throw.
-  const auto path = temp_file("cut.rlog");
-  {
-    river::RecordLogWriter writer(path);
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      auto rec = Record::data(river::kSubtypeAudio, ramp(60));
-      rec.sequence = i;
-      writer.write(rec);
-    }
-    writer.close();
-  }
-
-  testsupport::sweep_file_truncations(path, [&](std::size_t len) {
-    const auto [valid_bytes, valid_records] =
-        river::scan_log_valid_prefix(path);
-    EXPECT_LE(valid_bytes, len) << "cut at byte " << len;
-
-    river::RecordLogReader reader(path);
-    Record rec;
-    std::size_t drained = 0;
-    EXPECT_NO_THROW({
-      while (reader.next(rec)) ++drained;
-    }) << "cut at byte " << len;
-    EXPECT_EQ(drained, valid_records) << "cut at byte " << len;
-  });
-}
-
 TEST_F(SampleIoFileTest, RecordSampleSourceLearnsRateFromDataAttrs) {
   // Self-describing data records (segment-store replay seeking past the
   // clip scope) still teach the source its rate.
-  const auto path = temp_file("selfdesc.drl");
+  const auto dir = temp_file("selfdesc");
   {
-    river::RecordLogWriter writer(path);
+    river::SegmentedRecordLog log(dir);
     auto rec = Record::data(river::kSubtypeAudio, ramp(64));
     rec.set_attr(river::kAttrSampleRate, 12345.0);
-    writer.write(rec);
-    writer.close();
+    log.append(rec, 0.0);
+    log.close();
   }
-  river::RecordLogSource source(path);
+  river::SegmentStoreSource source(dir);
   EXPECT_EQ(source.sample_rate(), 0.0);
   EXPECT_EQ(drain(source, 64), ramp(64));
   EXPECT_EQ(source.sample_rate(), 12345.0);

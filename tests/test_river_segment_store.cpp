@@ -1,8 +1,9 @@
 // Segment store (river/segment_store.hpp): rotation, sealing, manifest,
 // O(log n) seek with sparse-index probes, CRC32C damage detection,
 // crash recovery, retention, compaction — and replay bit-identity: the
-// same ensembles whether extraction runs live, from a flat record log, or
-// from a segment store (standalone or through the SessionScheduler).
+// same ensembles whether extraction runs live, from a raw single-segment
+// store, or from a rotated or packed store (standalone or through the
+// SessionScheduler).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include "core/session_scheduler.hpp"
 #include "core/stream_session.hpp"
 #include "river/record.hpp"
-#include "river/record_log.hpp"
 #include "river/sample_io.hpp"
 #include "river/segment_store.hpp"
 #include "river/wire.hpp"
@@ -112,6 +112,25 @@ void expect_same_ensembles(const std::vector<river::Ensemble>& got,
         << label << " ensemble=" << i;
     ASSERT_EQ(got[i].samples, want[i].samples) << label << " ensemble=" << i;
   }
+}
+
+/// A raw single-segment store of `xs`, written record by record: 900-sample
+/// data records carrying only a kAttrSampleRate attribute, so replay learns
+/// the rate from the data records themselves.
+void write_single_segment_store(const fs::path& dir,
+                                const std::vector<float>& xs, double rate) {
+  river::SegmentedRecordLog log(dir);
+  for (std::size_t pos = 0; pos < xs.size(); pos += 900) {
+    const std::size_t n = std::min<std::size_t>(900, xs.size() - pos);
+    Record rec = Record::data(
+        river::kSubtypeAudio,
+        river::FloatVec(xs.begin() + static_cast<std::ptrdiff_t>(pos),
+                        xs.begin() + static_cast<std::ptrdiff_t>(pos + n)));
+    rec.set_attr(river::kAttrSampleRate, rate);
+    log.append(rec, static_cast<double>(pos) / rate);
+  }
+  log.close();
+  ASSERT_EQ(log.segments().size(), 1U) << "one segment, like one clip's log";
 }
 
 class SegmentStoreTest : public testsupport::TempDirTest {
@@ -532,6 +551,173 @@ TEST_F(SegmentStoreTest, ReadContractTornActiveTornHeaderAndSealedDamage) {
   }
 }
 
+namespace {
+
+/// Three records left unsealed in a store's active segment: appended,
+/// synced, and read back before close() seals them.
+std::vector<std::uint8_t> synced_active_segment(const fs::path& dir,
+                                                std::size_t samples) {
+  river::SegmentedRecordLog log(dir);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    log.append(audio_record(i, samples), static_cast<double>(i));
+  }
+  log.sync();
+  auto bytes = testsupport::read_file_bytes(dir / "seg-000000.drs");
+  log.close();
+  return bytes;
+}
+
+/// An unsealed segment of 40-sample records stamped `stamps`, written from
+/// the format constants (the writer itself refuses such stamps).
+std::vector<std::uint8_t> active_segment_bytes(
+    const std::vector<double>& stamps) {
+  std::vector<std::uint8_t> bytes(river::kSegmentHeaderBytes);
+  std::memcpy(bytes.data(), &river::kSegmentMagic, 4);
+  std::memcpy(bytes.data() + 4, &river::kSegmentVersion, 2);
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    const auto frame = river::encode_record(audio_record(i, 40));
+    const auto len = static_cast<std::uint32_t>(frame.size());
+    std::uint8_t env[river::kEnvelopeHeaderBytes];
+    std::memcpy(env, &len, 4);
+    std::memcpy(env + 4, &stamps[i], 8);
+    bytes.insert(bytes.end(), env, env + sizeof(env));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  return bytes;
+}
+
+/// What a cursor and crash recovery each make of one unsealed segment.
+struct ActiveTailOutcome {
+  std::size_t drained = 0;    ///< records the cursor served
+  bool threw = false;         ///< the drain threw
+  bool torn = false;          ///< cursor.torn() after the drain
+  std::size_t recovered = 0;  ///< recovered_records() on reopen
+  bool dropped = false;       ///< recovery kept fewer bytes than the file
+};
+
+/// Put `bytes` in a fresh store at `dir` as its only, active segment; drain
+/// a cursor over it, then reopen the store and let recovery judge it.
+ActiveTailOutcome read_then_recover(const fs::path& dir,
+                                    const std::vector<std::uint8_t>& bytes) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  testsupport::write_file_bytes(dir / "seg-000000.drs", bytes);
+  ActiveTailOutcome out;
+  try {
+    river::SegmentStoreReader reader(dir);
+    auto cursor = reader.seek(-kInf);
+    Record rec;
+    while (cursor.next(rec)) ++out.drained;
+    out.torn = cursor.torn();
+  } catch (const river::WireError&) {
+    out.threw = true;
+  }
+  river::SegmentStoreOptions options;
+  options.sync_on_seal = false;  // thousands of reopens; no crash under test
+  river::SegmentedRecordLog log(dir, options);
+  out.recovered = log.recovered_records();
+  std::uint64_t kept = 0;
+  for (const auto& s : log.segments()) kept += s.bytes;
+  const std::uint64_t header = river::kSegmentHeaderBytes;
+  const std::uint64_t payload = bytes.size() > header ? bytes.size() - header : 0;
+  out.dropped = (!bytes.empty() && bytes.size() < header) || kept < payload;
+  return out;
+}
+
+/// The agreement contract: an active tail never throws, a drain serves
+/// exactly the records recovery keeps, and torn() is set exactly when
+/// recovery drops bytes.
+void expect_reader_agrees_with_recovery(const ActiveTailOutcome& got,
+                                        const std::string& label) {
+  EXPECT_FALSE(got.threw) << label;
+  EXPECT_EQ(got.drained, got.recovered) << label;
+  EXPECT_EQ(got.torn, got.dropped) << label;
+}
+
+}  // namespace
+
+TEST_F(SegmentStoreTest, ActiveTailSingleBitFlipReaderAgreesWithRecovery) {
+  // The corruption drill on an unsealed segment: any one-bit flip may cost
+  // records, but a cursor must stop exactly where recovery truncates. A
+  // reader that cleanly serves a record recovery later drops would make a
+  // replay disagree with the archive it came from.
+  const auto pristine = synced_active_segment(temp_file("flip_src"), 120);
+  const auto probe = temp_file("flip_probe");
+  const auto clean = read_then_recover(probe, pristine);
+  EXPECT_EQ(clean.drained, 3U);
+  expect_reader_agrees_with_recovery(clean, "pristine");
+  EXPECT_FALSE(clean.torn);
+
+  testsupport::sweep_bit_flips(
+      pristine, [&](const std::vector<std::uint8_t>& damaged, std::size_t at) {
+        expect_reader_agrees_with_recovery(
+            read_then_recover(probe, damaged),
+            "flip at byte " + std::to_string(at));
+      });
+}
+
+TEST_F(SegmentStoreTest, ActiveTailTruncatedAtEveryByteReaderAgreesWithRecovery) {
+  // Pure truncation is always a torn tail, never damage: every complete
+  // record before the cut comes back without a throw, and recovery keeps
+  // exactly those.
+  const auto pristine = synced_active_segment(temp_file("cut_src"), 60);
+  std::vector<std::size_t> ends;  // file offset just past each envelope
+  for (std::size_t pos = river::kSegmentHeaderBytes; pos < pristine.size();) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, pristine.data() + pos, 4);
+    pos += river::kEnvelopeHeaderBytes + len;
+    ends.push_back(pos);
+  }
+  ASSERT_EQ(ends.size(), 3U);
+  ASSERT_EQ(ends.back(), pristine.size());
+
+  const auto probe = temp_file("cut_probe");
+  for (std::size_t cut = 0; cut <= pristine.size(); ++cut) {
+    const std::vector<std::uint8_t> bytes(
+        pristine.begin(),
+        pristine.begin() + static_cast<std::ptrdiff_t>(cut));
+    const auto got = read_then_recover(probe, bytes);
+    const auto label = "cut at byte " + std::to_string(cut);
+    expect_reader_agrees_with_recovery(got, label);
+    EXPECT_EQ(got.drained,
+              static_cast<std::size_t>(std::count_if(
+                  ends.begin(), ends.end(),
+                  [&](std::size_t e) { return e <= cut; })))
+        << label;
+  }
+}
+
+TEST_F(SegmentStoreTest, ActiveTailStampBackwardsOrNotFiniteEndsWhereRecoveryDoes) {
+  // Stamps 0, 1, then one below its predecessor or not finite, then 2.
+  // Recovery keeps the first two records; a reader must serve exactly those
+  // and report the rest as a torn tail.
+  for (const double bad : {0.5, std::numeric_limits<double>::quiet_NaN(),
+                           kInf, -kInf}) {
+    const auto got = read_then_recover(temp_file("stamps"),
+                                       active_segment_bytes({0.0, 1.0, bad, 2.0}));
+    const auto label = "third stamp " + std::to_string(bad);
+    expect_reader_agrees_with_recovery(got, label);
+    EXPECT_EQ(got.drained, 2U) << label;
+    EXPECT_TRUE(got.torn) << label;
+  }
+}
+
+TEST_F(SegmentStoreTest, UnreadableOrphanSegmentFailsTheOpenAndStaysInPlace) {
+  // Recovery drops only bytes it read and rejected. A segment file it cannot
+  // open — a dangling symlink, unreadable even as root — must fail the
+  // open, not be deleted as if it were an empty torn tail.
+  const auto dir = store_dir();
+  {
+    river::SegmentedRecordLog log(dir);
+    log.append(audio_record(0, 16), 0.0);
+    log.close();
+  }
+  const auto orphan = dir / "seg-000001.drs";
+  fs::create_symlink(dir / "no-such-target", orphan);
+  EXPECT_THROW({ river::SegmentedRecordLog log(dir); }, std::runtime_error);
+  EXPECT_TRUE(fs::is_symlink(fs::symlink_status(orphan)));
+}
+
 TEST_F(SegmentStoreTest, AdoptsSealedButUnmanifestedSegmentOnReopen) {
   // Crash window between footer write and manifest publish: on reopen the
   // orphan (index >= manifest next) is adopted, not deleted.
@@ -664,6 +850,55 @@ TEST_F(SegmentStoreTest, CompactionWithOpenActiveSegmentKeepsActiveRecords) {
   EXPECT_EQ(got[32].sequence, 100U);
   EXPECT_EQ(got[33].sequence, 101U);
   EXPECT_EQ(got[34].sequence, 102U);
+}
+
+TEST_F(SegmentStoreTest, CompactionRefusesDamagedSourceAndLeavesItForVerify) {
+  // Compaction copies envelopes into a fresh segment under a fresh CRC.
+  // Unchecked, it would launder a damaged source into a segment verify()
+  // passes. Two flips of one stamp in a sealed segment: a sign flip sends
+  // time backwards (the envelope rule catches it), a low-bit flip keeps it
+  // ordered (only the source's payload CRC catches it). Either way the
+  // merge is abandoned before the manifest changes.
+  const std::size_t stamp_at = river::kSegmentHeaderBytes + 4;  // first t
+  const std::pair<std::size_t, std::uint8_t> flips[] = {
+      {stamp_at + 7, 0x80},  // 3.0 -> -3.0
+      {stamp_at, 0x01},      // 3.0 -> 3.0000000000000004
+  };
+  for (const auto& [at, mask] : flips) {
+    const auto dir = temp_file("damaged_" + std::to_string(at));
+    for (std::uint64_t run = 0; run < 2; ++run) {
+      river::SegmentedRecordLog log(dir);
+      for (std::uint64_t i = 0; i < 2; ++i) {
+        log.append(audio_record(2 * run + i, 16),
+                   static_cast<double>(2 * run + i + 1));
+      }
+      log.close();
+    }
+    const auto victim = dir / "seg-000001.drs";  // stamps 3, 4
+    auto bytes = testsupport::read_file_bytes(victim);
+    bytes[at] = static_cast<std::uint8_t>(bytes[at] ^ mask);
+    testsupport::write_file_bytes(victim, bytes);
+    const auto label = "flip at byte " + std::to_string(at);
+    {
+      river::SegmentStoreReader reader(dir);
+      EXPECT_FALSE(reader.verify()) << label;
+    }
+    const auto manifest = testsupport::read_file_bytes(dir / "MANIFEST");
+
+    {
+      river::SegmentedRecordLog log(dir);
+      EXPECT_THROW((void)log.compact(1 << 20), std::runtime_error) << label;
+      EXPECT_EQ(log.segments().size(), 2U) << label;
+    }
+    EXPECT_EQ(testsupport::read_file_bytes(dir / "MANIFEST"), manifest)
+        << label;
+    EXPECT_EQ(testsupport::read_file_bytes(victim), bytes) << label;
+    EXPECT_FALSE(fs::exists(dir / "seg-000002.drs.tmp")) << label;
+    river::SegmentStoreReader reader(dir);
+    std::string error;
+    EXPECT_FALSE(reader.verify(&error)) << label;
+    EXPECT_NE(error.find("seg-000001.drs"), std::string::npos) << error;
+  }
 }
 
 // A reader guesses the active file's name from its manifest snapshot's
@@ -861,7 +1096,7 @@ TEST_F(SegmentStoreTest, ArchiverRejectsSampleRateMismatchOnResume) {
                std::runtime_error);
 }
 
-TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToFlatLogAndLiveExtraction) {
+TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToSingleSegmentAndLiveExtraction) {
   const auto params = small_params();
   const auto xs = random_signal_with_events(60000, 11);
   const double rate = 21600.0;
@@ -870,21 +1105,9 @@ TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToFlatLogAndLiveExtraction) {
   const auto want = core::EnsembleExtractor(params).extract(xs);
   ASSERT_FALSE(want.ensembles.empty());
 
-  // Flat-log replay: self-describing data records in a RecordLog.
-  const auto flat_path = temp_file("flat.drl");
-  {
-    river::RecordLogWriter writer(flat_path);
-    for (std::size_t pos = 0; pos < xs.size(); pos += 900) {
-      const std::size_t n = std::min<std::size_t>(900, xs.size() - pos);
-      Record rec = Record::data(
-          river::kSubtypeAudio,
-          river::FloatVec(xs.begin() + static_cast<std::ptrdiff_t>(pos),
-                          xs.begin() + static_cast<std::ptrdiff_t>(pos + n)));
-      rec.set_attr(river::kAttrSampleRate, rate);
-      writer.write(rec);
-    }
-    writer.close();
-  }
+  // Single-segment replay: self-describing data records in one raw segment.
+  const auto flat_dir = temp_file("flat");
+  write_single_segment_store(flat_dir, xs, rate);
 
   // Segment-store replay, with rotation forced mid-stream.
   const auto dir = store_dir();
@@ -909,8 +1132,8 @@ TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToFlatLogAndLiveExtraction) {
     return std::move(sink.ensembles);
   };
 
-  river::RecordLogSource flat(flat_path);
-  expect_same_ensembles(replay(flat), want.ensembles, "flat log");
+  river::SegmentStoreSource flat(flat_dir);
+  expect_same_ensembles(replay(flat), want.ensembles, "single segment");
   ASSERT_TRUE(flat.clean());
 
   river::SegmentStoreSource segmented(dir);
@@ -1014,9 +1237,10 @@ TEST_F(SegmentStoreTest, PackedReplayBitIdenticalEveryChunkingAndBothPaths) {
   }
 }
 
-TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndFlatLog) {
+TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndSingleSegment) {
   // The tentpole pin: compressed + prefetched replay drives extraction to
-  // the same ensembles as live extraction and as a flat-log replay.
+  // the same ensembles as live extraction and as a raw single-segment
+  // replay.
   const auto params = small_params();
   const auto xs = quantized_signal_with_events(60000, 11);
   const double rate = 21600.0;
@@ -1024,20 +1248,8 @@ TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndFlatLog) {
   const auto want = core::EnsembleExtractor(params).extract(xs);
   ASSERT_FALSE(want.ensembles.empty());
 
-  const auto flat_path = temp_file("flat.drl");
-  {
-    river::RecordLogWriter writer(flat_path);
-    for (std::size_t pos = 0; pos < xs.size(); pos += 900) {
-      const std::size_t n = std::min<std::size_t>(900, xs.size() - pos);
-      Record rec = Record::data(
-          river::kSubtypeAudio,
-          river::FloatVec(xs.begin() + static_cast<std::ptrdiff_t>(pos),
-                          xs.begin() + static_cast<std::ptrdiff_t>(pos + n)));
-      rec.set_attr(river::kAttrSampleRate, rate);
-      writer.write(rec);
-    }
-    writer.close();
-  }
+  const auto flat_dir = temp_file("flat");
+  write_single_segment_store(flat_dir, xs, rate);
 
   const auto dir = store_dir();
   {
@@ -1059,8 +1271,8 @@ TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndFlatLog) {
     return std::move(sink.ensembles);
   };
 
-  river::RecordLogSource flat(flat_path);
-  expect_same_ensembles(replay(flat), want.ensembles, "flat log");
+  river::SegmentStoreSource flat(flat_dir);
+  expect_same_ensembles(replay(flat), want.ensembles, "single segment");
   ASSERT_TRUE(flat.clean());
 
   river::SegmentStoreSource prefetched(dir);

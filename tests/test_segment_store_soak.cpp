@@ -1,9 +1,9 @@
 // Tier-2 soak for the storage layer, at three stress points:
 //
-//   1. Recovery memory: scanning the valid prefix of a ~64 MB torn record
-//      log must stream (bounded chunks), not slurp the file — pinned with a
-//      peak-RSS (VmHWM) assertion. The regression this guards: the original
-//      scan_valid_prefix read the whole file into one vector.
+//   1. Recovery memory: scanning the valid prefix of a ~64 MB torn active
+//      segment must stream frame by frame, not slurp the file — pinned with
+//      a peak-RSS (VmHWM) assertion. The regression this guards: an early
+//      valid-prefix scan read the whole file into one vector.
 //   2. Rotation under sustained write with a reader racing the writer:
 //      readers opened mid-write must always end cleanly (sealed segments +
 //      synced tail), never throw, and observe monotonically non-decreasing
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "river/record.hpp"
-#include "river/record_log.hpp"
 #include "river/segment_store.hpp"
 #include "test_support.hpp"
 
@@ -71,34 +70,39 @@ class SegmentStoreSoak : public testsupport::TempDirTest {};
 }  // namespace
 
 TEST_F(SegmentStoreSoak, RecoveryScanOfLargeTornLogIsBoundedMemory) {
-  // ~64 MB flat log (DR_SOAK_LOG_RECORDS scales it), torn mid-frame.
-  const auto path = temp_file("big.drl");
+  // One ~64 MB active segment (DR_SOAK_LOG_RECORDS scales it), copied out
+  // before close() seals it, then torn mid-frame.
+  const auto dir = temp_file("big-store");
+  const auto torn_dir = temp_file("big-torn");
   const std::size_t records = env_size("DR_SOAK_LOG_RECORDS", 4000);
+  river::SegmentStoreOptions options;
+  options.max_segment_bytes = std::uint64_t{1} << 40;  // never rotate
   {
-    river::RecordLogWriter writer(path);
+    river::SegmentedRecordLog log(dir, options);
     for (std::uint64_t i = 0; i < records; ++i) {
-      writer.write(audio_record(i, 4096));  // ~16.4 KB per frame
+      log.append(audio_record(i, 4096), static_cast<double>(i));  // ~16.4 KB
     }
-    writer.close();
+    log.sync();
+    fs::copy(dir, torn_dir, fs::copy_options::recursive);
+    log.close();
   }
+  const auto path = torn_dir / "seg-000000.drs";
   const auto full_size = fs::file_size(path);
   fs::resize_file(path, full_size - 5);  // torn tail
 
   const std::size_t rss_before = peak_rss_bytes();
-  const auto [valid_bytes, valid_records] = river::scan_log_valid_prefix(path);
-  river::RecordLogWriter writer(path, river::LogOpenMode::kRecover);
+  river::SegmentedRecordLog log(torn_dir, options);
   const std::size_t rss_after = peak_rss_bytes();
 
-  EXPECT_EQ(valid_records, records - 1);
-  EXPECT_LT(valid_bytes, full_size);
-  EXPECT_EQ(writer.recovered_records(), records - 1);
-  writer.write(audio_record(records, 16));  // still appendable
-  writer.close();
+  EXPECT_EQ(log.recovered_records(), records - 1);
+  log.append(audio_record(records, 16),  // still appendable
+             static_cast<double>(records));
+  log.close();
 
   if (rss_before == 0) GTEST_SKIP() << "/proc/self/status unavailable";
   // The whole-file slurp this guards against would spike VmHWM by at least
-  // full_size (~64 MB); the streamed scan needs only a 64 KiB window plus
-  // one decoder frame. Allow generous allocator/sanitizer slack.
+  // full_size (~64 MB); the streamed scan needs only one frame at a time
+  // plus the sparse index. Allow generous allocator/sanitizer slack.
   const std::size_t grew = rss_after - rss_before;
   EXPECT_LT(grew, full_size / 4)
       << "recovery scan retained O(file) memory (grew " << grew << " bytes of "
