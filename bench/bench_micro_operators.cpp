@@ -1,8 +1,8 @@
 // Ablation A5: micro-benchmarks of the individual substrate operations,
 // using google-benchmark. Covers the DFT (planned vs legacy unplanned vs
 // naive), SAX anomaly scoring, the trigger, full-clip extraction (single-
-// and multi-stream, serial and threaded), feature extraction, MESO
-// training/query, wire encode/decode, and channel throughput.
+// and multi-stream), feature extraction, MESO training/query, wire
+// encode/decode, and channel throughput.
 //
 // In addition to the google-benchmark cases, main() runs a small adaptive
 // timing sweep over the spectral hot path and writes the results as
@@ -211,11 +211,9 @@ void BM_ExtractClip30s(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractClip30s)->Unit(benchmark::kMillisecond);
 
-// Two-channel extraction; Arg = score_threads (1 = serial, 0 = shared pool).
+// Two-channel extraction (streaming max fusion).
 void BM_MultiStreamExtract2ch(benchmark::State& state) {
-  core::MultiStreamParams params;
-  params.score_threads = static_cast<std::size_t>(state.range(0));
-  const core::MultiStreamExtractor extractor(params);
+  const core::MultiStreamExtractor extractor{core::MultiStreamParams{}};
   const auto& a = cached_clip().clip.samples;
   const auto& b = cached_second_channel();
   const std::vector<std::span<const float>> streams = {a, b};
@@ -226,7 +224,7 @@ void BM_MultiStreamExtract2ch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(2 * a.size()));
 }
-BENCHMARK(BM_MultiStreamExtract2ch)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MultiStreamExtract2ch)->Unit(benchmark::kMillisecond);
 
 // Steady-state streaming ingest: one second of the cached clip pushed
 // through a warmed StreamSession in record-size chunks (taps off, ensembles
@@ -468,7 +466,7 @@ void run_json_sweep() {
     }
   }
 
-  // Full-clip extraction, then 2-channel serial vs threaded scoring.
+  // Full-clip extraction, then 2-channel fused extraction.
   {
     const auto& clip = cached_clip().clip.samples;
     const core::EnsembleExtractor extractor{core::PipelineParams{}};
@@ -499,19 +497,9 @@ void run_json_sweep() {
 
     const std::vector<std::span<const float>> streams = {clip,
                                                          cached_second_channel()};
-    core::MultiStreamParams serial_params;
-    serial_params.score_threads = 1;
-    const core::MultiStreamExtractor serial(serial_params);
+    const core::MultiStreamExtractor serial{core::MultiStreamParams{}};
     record("multistream2_serial", 2 * clip.size(), [&] {
       auto result = serial.extract(streams);
-      benchmark::DoNotOptimize(result);
-    });
-
-    core::MultiStreamParams threaded_params;
-    threaded_params.score_threads = 0;  // shared pool
-    const core::MultiStreamExtractor threaded(threaded_params);
-    record("multistream2_threaded", 2 * clip.size(), [&] {
-      auto result = threaded.extract(streams);
       benchmark::DoNotOptimize(result);
     });
   }

@@ -4,13 +4,11 @@
 Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json [--threshold 0.10]
                              [--warn-only]
-    scripts/bench_compare.py --baseline {1core,multicore,PATH} CURRENT.json
+    scripts/bench_compare.py --baseline {1core,PATH} CURRENT.json
 
-The committed baselines live at the repository root: BENCH_micro.json is
-measured serially (DR_THREADS=1 semantics — the container this repo grows in
-has one core), BENCH_micro.multicore.json with DR_THREADS=2. `--baseline
-1core` / `--baseline multicore` select them by name relative to this script's
-repository; any other value is taken as a path.
+The committed baseline lives at the repository root: BENCH_micro.json,
+measured on one core. `--baseline 1core` selects it by name relative to this
+script's repository; any other value is taken as a path.
 
 Benchmarks are keyed by (op, size). An op regresses when its current
 value exceeds baseline * (1 + threshold); it improves symmetrically. Every
@@ -18,11 +16,11 @@ unit the schema carries is lower-is-better — "ns/op" timings and size
 metrics like "bytes" (archive_bytes_per_sample) diff identically; records
 without a unit field (older baselines) default to "ns/op". A unit mismatch
 between baseline and current for the same (op, size) is an error.
-Ops present in only one file are reported but never fail the run — the two
-committed baselines intentionally cover different op sets (the multicore
-baseline only tracks the thread-sensitive ops). Exit status is 1 when any
-op regressed (0 with --warn-only, for noisy shared-runner environments
-where the report matters but hard-failing on a 10% swing would be flaky).
+Ops present in only one file are reported but never fail the run, so a
+baseline taken before an op was added or retired still compares. Exit status
+is 1 when any op regressed (0 with --warn-only, for noisy shared-runner
+environments where the report matters but hard-failing on a 10% swing would
+be flaky).
 """
 
 import argparse
@@ -32,7 +30,6 @@ import sys
 
 NAMED_BASELINES = {
     "1core": "BENCH_micro.json",
-    "multicore": "BENCH_micro.multicore.json",
 }
 
 
@@ -81,7 +78,7 @@ def main():
     parser.add_argument(
         "--baseline",
         metavar="NAME",
-        help="named committed baseline ('1core' or 'multicore') or a path; "
+        help="named committed baseline ('1core') or a path; "
              "replaces the positional BASELINE.json",
     )
     parser.add_argument(

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 
 namespace dynriver::common {
@@ -123,32 +121,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     state->finished.wait(lock);
   }
   if (state->error) std::rethrow_exception(state->error);
-}
-
-double ThreadPool::dispatch_cost_ns() {
-  const double cached = dispatch_cost_.load(std::memory_order_relaxed);
-  if (cached >= 0.0) return cached;
-  double best;
-  if (workers_.empty()) {
-    best = 0.0;  // serial pool: parallel_for degenerates to a plain loop
-  } else {
-    // Best of a few empty fan-outs over every lane: the minimum rejects
-    // probes that lost their timeslice, and the first probe doubles as the
-    // worker warm-up.
-    using clock = std::chrono::steady_clock;
-    const auto noop = std::function<void(std::size_t)>([](std::size_t) {});
-    best = std::numeric_limits<double>::infinity();
-    for (int probe = 0; probe < 5; ++probe) {
-      const auto t0 = clock::now();
-      parallel_for(0, thread_count(), noop);
-      const auto t1 = clock::now();
-      best = std::min(
-          best,
-          std::chrono::duration<double, std::nano>(t1 - t0).count());
-    }
-  }
-  dispatch_cost_.store(best, std::memory_order_relaxed);
-  return best;
 }
 
 ThreadPool& ThreadPool::shared() {

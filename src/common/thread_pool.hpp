@@ -1,14 +1,14 @@
 // A small fixed-size worker pool with a deterministic parallel_for.
 //
-// Used by core::MultiStreamExtractor (per-channel anomaly scoring) and
-// eval's leave-one-out protocols (independent folds). Determinism contract:
-// parallel_for hands each index to exactly one invocation of `body`, bodies
-// write only to per-index state, and callers accumulate results serially in
-// index order afterwards — so threaded runs are bit-identical to serial runs
-// regardless of scheduling.
+// Used by eval's leave-one-out protocols (independent folds) through
+// TaskRunner; core::SessionScheduler runs its own lanes and only borrows
+// default_thread_count(). Determinism contract: parallel_for hands each
+// index to exactly one invocation of `body`, bodies write only to per-index
+// state, and callers accumulate results serially in index order afterwards —
+// so threaded runs are bit-identical to serial runs regardless of
+// scheduling.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -54,14 +54,6 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
-  /// Measured cost of one empty parallel_for dispatch over this pool's
-  /// lanes, in nanoseconds — enqueue, worker wake-up, and completion wait.
-  /// Measured lazily on first call (best of a few probes, so a descheduled
-  /// probe does not inflate the estimate) and cached for the pool's
-  /// lifetime. Callers compare it against their measured per-batch work to
-  /// decide whether fan-out amortizes; a serial pool reports 0.
-  [[nodiscard]] double dispatch_cost_ns();
-
   /// Process-wide shared pool (DR_THREADS lanes when set, else hardware
   /// concurrency; the override is read once, at first use). Intended for
   /// coarse task-level parallelism; bodies must not block on this pool
@@ -76,11 +68,9 @@ class ThreadPool {
   CondVar wake_;
   std::deque<std::function<void()>> tasks_ DR_GUARDED_BY(mutex_);
   bool stop_ DR_GUARDED_BY(mutex_) = false;
-  std::atomic<double> dispatch_cost_{-1.0};  ///< lazy dispatch_cost_ns cache
 };
 
-/// The one threading-dispatch policy used across the codebase (eval's
-/// leave-one-out folds, MultiStreamExtractor's channel scoring): a `threads`
+/// The task-dispatch policy behind eval's leave-one-out folds: a `threads`
 /// knob where 1 = serial on the caller, 0 = the shared() pool, and >= 2 = a
 /// dedicated pool of that size owned by the runner (built once, reused
 /// across run() calls).
@@ -100,26 +90,6 @@ class TaskRunner {
     } else {
       ThreadPool::shared().parallel_for(0, count, body);
     }
-  }
-
-  [[nodiscard]] bool serial() const { return threads_ == 1; }
-
-  /// Concurrency lanes run() actually dispatches over: 1 for the serial
-  /// policy, else the (dedicated or shared) pool's thread count. This is
-  /// what auto-degradation keys on — a threads=0 runner on a 1-core host
-  /// resolves to 1 lane, so callers can fall back to their serial path
-  /// instead of paying dispatch for no parallelism.
-  [[nodiscard]] std::size_t lanes() const {
-    if (threads_ == 1) return 1;
-    if (pool_) return pool_->thread_count();
-    return ThreadPool::shared().thread_count();
-  }
-
-  /// dispatch_cost_ns() of the pool run() would use (0 when serial).
-  [[nodiscard]] double dispatch_cost_ns() {
-    if (threads_ == 1) return 0.0;
-    if (pool_) return pool_->dispatch_cost_ns();
-    return ThreadPool::shared().dispatch_cost_ns();
   }
 
  private:

@@ -1,13 +1,9 @@
 #include "core/multistream.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "core/stream_session.hpp"
-#include "ts/anomaly.hpp"
 
 namespace dynriver::core {
 
@@ -15,98 +11,19 @@ MultiStreamExtractor::MultiStreamExtractor(
     MultiStreamParams params, std::shared_ptr<const SpectralEngine> engine)
     : params_(std::move(params)), features_(params_.base, std::move(engine)) {
   params_.base.validate();
-  runner_ = std::make_unique<common::TaskRunner>(params_.score_threads);
 }
 
 MultiExtractionResult MultiStreamExtractor::extract(
     std::span<const std::span<const float>> streams, bool keep_signals) const {
+  // The session checks that every stream has the same length. It advances
+  // one scorer per channel in lockstep, block-batched through the dsp::simd
+  // kernels, so archive-scale clips never materialize score buffers.
   DR_EXPECTS(!streams.empty());
-  const std::size_t n = streams.front().size();
-  for (const auto& s : streams) DR_EXPECTS(s.size() == n);
-
-  // Both strategies share the session's trigger + cutter automaton; fusion
-  // always reads channels in fixed order, so they are bit-identical.
   StreamSession::Options options;
   if (keep_signals) options.tap_capacity = SignalTap::kUnbounded;
   MultiStreamSession session(params_, streams.size(), std::move(options),
                              features_.engine());
-
-  // Auto-degradation: threading only enters the picture when the runner
-  // actually resolved to more than one lane AND there is more than one
-  // channel to spread over them. A threads=0 extractor on a 1-core host
-  // (shared pool of 1 lane) therefore runs the serial path transparently —
-  // bit-identical, and never slower than serial by construction.
-  const std::size_t lanes = std::min(runner_->lanes(), streams.size());
-  if (lanes <= 1 || streams.size() == 1) {
-    // Streaming fusion: the session advances one scorer per channel in
-    // lockstep, block-batched through the dsp::simd kernels, O(block) extra
-    // memory — archive-scale clips never materialize score buffers.
-    session.push(streams);
-  } else {
-    // Threaded scoring over persistent per-channel scorers, chunk by chunk:
-    // each channel's scorer is an independent streaming automaton, so
-    // channels score concurrently into disjoint per-channel slots and the
-    // session fuses each chunk behind them. Chunking (instead of whole-clip
-    // score buffers) keeps memory at O(channels * chunk) and gives the
-    // dispatch-cost gate something to measure against.
-    //
-    // The gate, measured per extract() call rather than assumed: chunk 0 is
-    // scored serially under a stopwatch; if the work a fan-out could save —
-    // serial_ns * (1 - 1/lanes) — does not clear 4x the pool's measured
-    // dispatch cost, every later chunk stays serial (dispatch would eat the
-    // win). Otherwise chunk 1 runs threaded, also timed, and threading is
-    // kept only if it actually beat chunk 0's serial time — catching hosts
-    // whose advertised lanes do not parallelize (oversubscribed container,
-    // DR_THREADS above the physical core count). Mixing serial and
-    // threaded chunks is safe: the per-channel scorer state advances
-    // identically either way.
-    const std::size_t ch = streams.size();
-    constexpr std::size_t kChunkSamples = 32768;
-    std::vector<ts::StreamingAnomalyScorer> scorers;
-    scorers.reserve(ch);
-    for (std::size_t c = 0; c < ch; ++c) {
-      scorers.emplace_back(params_.base.anomaly);
-    }
-    const std::size_t chunk_cap = std::min(kChunkSamples, n);
-    std::vector<std::vector<double>> scores(ch);
-    for (auto& s : scores) s.resize(chunk_cap);
-    std::vector<std::span<const double>> score_spans(ch);
-    std::vector<std::span<const float>> chunk_spans(ch);
-
-    const double dispatch_ns = runner_->dispatch_cost_ns();
-    const double lane_gain = 1.0 - 1.0 / static_cast<double>(lanes);
-    double serial_chunk_ns = 0.0;
-    bool use_threads = false;
-    std::size_t chunk_index = 0;
-    for (std::size_t base = 0; base < n; base += kChunkSamples, ++chunk_index) {
-      const std::size_t m = std::min(kChunkSamples, n - base);
-      const auto score_channel = [&](std::size_t c) {
-        scorers[c].push_batch(streams[c].data() + base, m, scores[c].data());
-      };
-      if (chunk_index == 0) {
-        const Stopwatch sw;
-        for (std::size_t c = 0; c < ch; ++c) score_channel(c);
-        serial_chunk_ns = sw.seconds() * 1e9;
-        // Provisional: fan out only if the savable work clears the
-        // dispatch cost with margin; chunk 1 confirms it empirically.
-        use_threads =
-            m == kChunkSamples && serial_chunk_ns * lane_gain > 4.0 * dispatch_ns;
-      } else if (use_threads && chunk_index == 1 && m == kChunkSamples) {
-        const Stopwatch sw;
-        runner_->run(ch, score_channel);
-        use_threads = sw.seconds() * 1e9 < serial_chunk_ns;
-      } else if (use_threads) {
-        runner_->run(ch, score_channel);
-      } else {
-        for (std::size_t c = 0; c < ch; ++c) score_channel(c);
-      }
-      for (std::size_t c = 0; c < ch; ++c) {
-        score_spans[c] = {scores[c].data(), m};
-        chunk_spans[c] = streams[c].subspan(base, m);
-      }
-      session.push_scored(score_spans, chunk_spans);
-    }
-  }
+  session.push(streams);
 
   MultiExtractionResult result;
   result.ensembles = session.finish();

@@ -22,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/features.hpp"
 #include "core/params.hpp"
 
@@ -36,14 +35,6 @@ enum class ScoreFusion : std::uint8_t {
 struct MultiStreamParams {
   PipelineParams base;
   ScoreFusion fusion = ScoreFusion::kMax;
-  /// Threads for per-channel anomaly scoring: 0 = the shared
-  /// common::ThreadPool (hardware concurrency), 1 = serial. Each channel's
-  /// scorer is an independent streaming automaton, so threaded and serial
-  /// runs are bit-identical. This is a ceiling, not a promise: when the
-  /// runner resolves to one lane, or the measured per-chunk scoring work
-  /// does not clear the pool's measured dispatch cost, extract()
-  /// transparently runs serial (see MultiStreamExtractor::extract).
-  std::size_t score_threads = 0;
 };
 
 /// One extracted multi-channel ensemble: identical boundaries per stream.
@@ -72,7 +63,6 @@ class MultiStreamExtractor {
 
   /// Extract from `streams` (all the same length, sample-synchronized).
   /// A single stream reduces exactly to EnsembleExtractor's behaviour.
-  /// Per-channel scoring runs on params().score_threads threads.
   [[nodiscard]] MultiExtractionResult extract(
       std::span<const std::span<const float>> streams,
       bool keep_signals = false) const;
@@ -90,9 +80,6 @@ class MultiStreamExtractor {
  private:
   MultiStreamParams params_;
   FeatureExtractor features_;  ///< shares the engine; powers featurize()
-  /// Channel-scoring dispatch per score_threads; owns its dedicated pool
-  /// (if any) so extract() never pays thread spawn/join per call.
-  std::unique_ptr<common::TaskRunner> runner_;
 };
 
 /// Append context readings to a feature pattern. Context values are scaled

@@ -12,7 +12,7 @@
 // mutable execution state (FFT plans, window tables, pad/spectrum scratch)
 // lives in thread-local storage. One engine can therefore be shared by
 // reference across a whole pipeline — and across threads (e.g. the
-// MultiStreamExtractor's worker pool) — without locking.
+// SessionScheduler's lanes) — without locking.
 #pragma once
 
 #include <complex>

@@ -208,47 +208,6 @@ MultiStreamSession::MultiStreamSession(
   }
 }
 
-void MultiStreamSession::fuse_block(const double* const* scores,
-                                    std::size_t base, std::size_t m,
-                                    const float* const* data, bool& run_trig,
-                                    std::size_t& run_start) {
-  // Fusion reads channels in fixed order, so push() and push_scored() are
-  // bit-identical for the same signals. Observer flags and channel count are
-  // hoisted; the cutter is fed whole trigger runs in bulk (trigger runs are
-  // thousands of samples long, so its per-sample branches never run here).
-  const std::size_t ch = channels();
-  const bool slow_path = tap_.enabled() || options_.on_signal != nullptr;
-  const bool fuse_max = params_.fusion == ScoreFusion::kMax;
-  // The per-sample fusion fold stays inside the trigger loop on purpose: a
-  // separate SIMD max/mean pass over the block was measured slower — the
-  // extra fused-score buffer traffic does not overlap anything, while these
-  // few scalar ops hide entirely under the trigger's serial Welford chain.
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::size_t i = base + j;
-    double fused = 0.0;
-    if (fuse_max) {
-      for (std::size_t c = 0; c < ch; ++c) {
-        fused = std::max(fused, scores[c][j]);
-      }
-    } else {
-      for (std::size_t c = 0; c < ch; ++c) fused += scores[c][j];
-      fused /= static_cast<double>(ch);
-    }
-    const bool trig = trigger_.push(fused);
-    if (slow_path) {
-      if (tap_.enabled()) tap_.push(static_cast<float>(fused), trig);
-      if (options_.on_signal) {
-        options_.on_signal(consumed_ + i, static_cast<float>(fused), trig);
-      }
-    }
-    if (trig != run_trig) {
-      cutter_.step_run(run_trig, data, run_start, i - run_start);
-      run_trig = trig;
-      run_start = i;
-    }
-  }
-}
-
 std::size_t MultiStreamSession::push(
     std::span<const std::span<const float>> chunks) {
   DR_EXPECTS(chunks.size() == channels());
@@ -257,7 +216,7 @@ std::size_t MultiStreamSession::push(
 
   // Each channel's scorer runs block-batched into its slice of the shared
   // scratch (bit-identical to per-sample lockstep pushes — the scorers are
-  // independent automata); the fuse/trigger/cutter half then consumes the
+  // independent automata); fusion, trigger and cutter then consume the
   // block. Memory stays O(channels * block) for any chunk size.
   const std::size_t ch = channels();
   channel_data_.resize(ch);
@@ -272,6 +231,12 @@ std::size_t MultiStreamSession::push(
   const float* const* data = channel_data_.data();
   const double* const* scores = score_data_.data();
   ts::StreamingAnomalyScorer* scorers = scorers_.data();
+  // Observer flags are hoisted; the cutter is fed whole trigger runs in bulk
+  // (trigger runs are thousands of samples long, so its per-sample branches
+  // never run here). `run_trig`/`run_start` carry the open trigger run
+  // across blocks (absolute indices into `data`).
+  const bool slow_path = tap_.enabled() || options_.on_signal != nullptr;
+  const bool fuse_max = params_.fusion == ScoreFusion::kMax;
 
   bool run_trig = false;
   std::size_t run_start = 0;
@@ -281,39 +246,35 @@ std::size_t MultiStreamSession::push(
       scorers[c].push_batch(data[c] + base, m,
                             score_block_.data() + c * kScoreBlock);
     }
-    fuse_block(scores, base, m, data, run_trig, run_start);
-  }
-  if (n > 0) cutter_.step_run(run_trig, data, run_start, n - run_start);
-  consumed_ += n;
-  return cutter_.ready();
-}
-
-std::size_t MultiStreamSession::push_scored(
-    std::span<const std::span<const double>> channel_scores,
-    std::span<const std::span<const float>> chunks) {
-  DR_EXPECTS(chunks.size() == channels());
-  DR_EXPECTS(channel_scores.size() == channels());
-  const std::size_t n = chunks.empty() ? 0 : chunks.front().size();
-  for (const auto& chunk : chunks) DR_EXPECTS(chunk.size() == n);
-  for (const auto& scores : channel_scores) DR_EXPECTS(scores.size() == n);
-
-  const std::size_t ch = channels();
-  channel_data_.resize(ch);
-  score_data_.resize(ch);
-  for (std::size_t c = 0; c < ch; ++c) channel_data_[c] = chunks[c].data();
-  const float* const* data = channel_data_.data();
-  // Block through the precomputed spans so the fused scratch stays
-  // kScoreBlock-sized (cache-resident) however large the caller's chunk is;
-  // per-block score pointers keep fuse_block's in-block indexing while the
-  // cutter sees absolute chunk offsets.
-  bool run_trig = false;
-  std::size_t run_start = 0;
-  for (std::size_t base = 0; base < n; base += kScoreBlock) {
-    const std::size_t m = std::min(kScoreBlock, n - base);
-    for (std::size_t c = 0; c < ch; ++c) {
-      score_data_[c] = channel_scores[c].data() + base;
+    // The per-sample fusion fold stays inside the trigger loop on purpose: a
+    // separate SIMD max/mean pass over the block was measured slower — the
+    // extra fused-score buffer traffic does not overlap anything, while
+    // these few scalar ops hide entirely under the trigger's serial Welford
+    // chain. Channels are read in fixed order.
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t i = base + j;
+      double fused = 0.0;
+      if (fuse_max) {
+        for (std::size_t c = 0; c < ch; ++c) {
+          fused = std::max(fused, scores[c][j]);
+        }
+      } else {
+        for (std::size_t c = 0; c < ch; ++c) fused += scores[c][j];
+        fused /= static_cast<double>(ch);
+      }
+      const bool trig = trigger_.push(fused);
+      if (slow_path) {
+        if (tap_.enabled()) tap_.push(static_cast<float>(fused), trig);
+        if (options_.on_signal) {
+          options_.on_signal(consumed_ + i, static_cast<float>(fused), trig);
+        }
+      }
+      if (trig != run_trig) {
+        cutter_.step_run(run_trig, data, run_start, i - run_start);
+        run_trig = trig;
+        run_start = i;
+      }
     }
-    fuse_block(score_data_.data(), base, m, data, run_trig, run_start);
   }
   if (n > 0) cutter_.step_run(run_trig, data, run_start, n - run_start);
   consumed_ += n;

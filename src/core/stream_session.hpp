@@ -188,13 +188,6 @@ class MultiStreamSession {
   /// all the same length). Returns completed ensembles waiting in drain().
   std::size_t push(std::span<const std::span<const float>> chunks);
 
-  /// Pre-scored variant: the caller already ran each channel's anomaly
-  /// scorer (e.g. on a thread pool); the session fuses the per-channel
-  /// smoothed scores in fixed channel order and runs trigger + cutter.
-  /// Bit-identical to push() for the same signals.
-  std::size_t push_scored(std::span<const std::span<const double>> channel_scores,
-                          std::span<const std::span<const float>> chunks);
-
   [[nodiscard]] std::vector<MultiEnsemble> drain();
   [[nodiscard]] std::vector<MultiEnsemble> finish();
   void reset();
@@ -215,15 +208,6 @@ class MultiStreamSession {
   }
 
  private:
-  /// Shared back half of push() and push_scored(): fuse one block of
-  /// per-channel scores in fixed channel order and advance the trigger, the
-  /// taps, and the trigger-run accumulation. `scores[c]` points at channel
-  /// c's scores for samples [base, base + m); `run_trig`/`run_start` carry
-  /// the open trigger run across blocks (absolute indices into `data`).
-  void fuse_block(const double* const* scores, std::size_t base, std::size_t m,
-                  const float* const* data, bool& run_trig,
-                  std::size_t& run_start);
-
   MultiStreamParams params_;
   StreamSession::Options options_;
   FeatureExtractor features_;

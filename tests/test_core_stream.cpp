@@ -427,67 +427,57 @@ std::vector<float> perturbed_channel(const std::vector<float>& base,
 }  // namespace
 
 TEST(MultiStreamSession, ChunkSweepBitIdenticalToMultiExtractor) {
-  core::MultiStreamParams mp;
-  mp.base = small_params();
-  mp.score_threads = 1;
-  const core::MultiStreamExtractor extractor(mp);
-
   const auto a = random_signal_with_events(60000, 31);
   const auto b = perturbed_channel(a, 32);
-  const std::vector<std::span<const float>> streams = {a, b};
-  const auto want = extractor.extract(streams, /*keep_signals=*/true);
-  ASSERT_FALSE(want.ensembles.empty());
+  const auto c = perturbed_channel(a, 33);
+  const std::vector<std::vector<float>> all = {a, b, c};
 
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{256}, std::size_t{900}, std::size_t{0}}) {
-    core::SessionOptions options;
-    options.tap_capacity = core::SignalTap::kUnbounded;
-    core::MultiStreamSession session(mp, streams.size(), std::move(options));
+  for (const auto fusion : {core::ScoreFusion::kMax, core::ScoreFusion::kMean}) {
+    for (const std::size_t channels : {std::size_t{2}, std::size_t{3}}) {
+      core::MultiStreamParams mp;
+      mp.base = small_params();
+      mp.fusion = fusion;
+      const core::MultiStreamExtractor extractor(mp);
 
-    std::vector<core::MultiEnsemble> got;
-    std::size_t pos = 0;
-    while (pos < a.size()) {
-      const std::size_t n = chunk == 0 ? a.size() : std::min(chunk, a.size() - pos);
-      const std::vector<std::span<const float>> chunks = {
-          std::span<const float>(a).subspan(pos, n),
-          std::span<const float>(b).subspan(pos, n)};
-      session.push(chunks);
-      for (auto& e : session.drain()) got.push_back(std::move(e));
-      pos += n;
+      std::vector<std::span<const float>> streams;
+      for (std::size_t s = 0; s < channels; ++s) streams.emplace_back(all[s]);
+      const auto want = extractor.extract(streams, /*keep_signals=*/true);
+      ASSERT_FALSE(want.ensembles.empty());
+
+      for (const std::size_t chunk : {std::size_t{1}, std::size_t{256},
+                                      std::size_t{900}, std::size_t{0}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "fusion=" << static_cast<int>(fusion)
+                     << " channels=" << channels << " chunk=" << chunk);
+        core::SessionOptions options;
+        options.tap_capacity = core::SignalTap::kUnbounded;
+        core::MultiStreamSession session(mp, streams.size(), std::move(options));
+
+        std::vector<core::MultiEnsemble> got;
+        std::size_t pos = 0;
+        while (pos < a.size()) {
+          const std::size_t n =
+              chunk == 0 ? a.size() : std::min(chunk, a.size() - pos);
+          std::vector<std::span<const float>> chunks;
+          for (const auto& stream : streams) {
+            chunks.push_back(stream.subspan(pos, n));
+          }
+          session.push(chunks);
+          for (auto& e : session.drain()) got.push_back(std::move(e));
+          pos += n;
+        }
+        for (auto& e : session.finish()) got.push_back(std::move(e));
+
+        ASSERT_EQ(got.size(), want.ensembles.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].start_sample, want.ensembles[i].start_sample);
+          EXPECT_EQ(got[i].length, want.ensembles[i].length);
+          ASSERT_EQ(got[i].channel_samples, want.ensembles[i].channel_samples);
+        }
+        ASSERT_EQ(session.tap().scores(), want.fused_scores);
+      }
     }
-    for (auto& e : session.finish()) got.push_back(std::move(e));
-
-    ASSERT_EQ(got.size(), want.ensembles.size()) << "chunk=" << chunk;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].start_sample, want.ensembles[i].start_sample);
-      EXPECT_EQ(got[i].length, want.ensembles[i].length);
-      ASSERT_EQ(got[i].channel_samples, want.ensembles[i].channel_samples);
-    }
-    ASSERT_EQ(session.tap().scores(), want.fused_scores) << "chunk=" << chunk;
   }
-}
-
-TEST(MultiStreamSession, ThreadedExtractorStillBitIdentical) {
-  // The extractor's pre-scored path drives the session via push_scored; it
-  // must agree with the serial (lockstep push) path exactly.
-  core::MultiStreamParams serial;
-  serial.base = small_params();
-  serial.score_threads = 1;
-  core::MultiStreamParams threaded = serial;
-  threaded.score_threads = 2;
-
-  const auto a = random_signal_with_events(60000, 41);
-  const auto b = perturbed_channel(a, 42);
-  const std::vector<std::span<const float>> streams = {a, b};
-
-  const auto s = core::MultiStreamExtractor(serial).extract(streams, true);
-  const auto t = core::MultiStreamExtractor(threaded).extract(streams, true);
-  ASSERT_EQ(s.ensembles.size(), t.ensembles.size());
-  for (std::size_t i = 0; i < s.ensembles.size(); ++i) {
-    EXPECT_EQ(s.ensembles[i].start_sample, t.ensembles[i].start_sample);
-    ASSERT_EQ(s.ensembles[i].channel_samples, t.ensembles[i].channel_samples);
-  }
-  ASSERT_EQ(s.fused_scores, t.fused_scores);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// DSP odds and ends: windows, WAV container, spectrogram, biquads, resampler.
+// DSP odds and ends: windows, WAV container, spectrogram, biquads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 
 #include "common/contracts.hpp"
 #include "dsp/biquad.hpp"
-#include "dsp/resample.hpp"
 #include "dsp/spectrogram.hpp"
 #include "dsp/wav.hpp"
 #include "dsp/window.hpp"
@@ -357,83 +356,6 @@ TEST(Biquad, InvalidParamsThrow) {
                dynriver::ContractViolation);  // above Nyquist
   EXPECT_THROW((void)dsp::Biquad::high_pass(0.0, 100.0),
                dynriver::ContractViolation);
-}
-
-TEST(Resample, IdentityWhenRatesMatch) {
-  const std::vector<float> x = {1.0F, 2.0F, 3.0F};
-  EXPECT_EQ(dsp::resample_linear(x, 8000, 8000), x);
-}
-
-TEST(Resample, PreservesToneFrequency) {
-  constexpr double kFrom = 44100.0;
-  constexpr double kTo = 21600.0;
-  std::vector<float> x(44100);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = static_cast<float>(
-        std::sin(2.0 * std::numbers::pi * 2000.0 * static_cast<double>(i) / kFrom));
-  }
-  const auto y = dsp::resample_linear(x, kFrom, kTo);
-  EXPECT_NEAR(static_cast<double>(y.size()), kTo, 3.0);
-
-  // Count zero crossings: ~2 * 2000 per second.
-  int crossings = 0;
-  for (std::size_t i = 1; i < y.size(); ++i) {
-    if ((y[i - 1] < 0) != (y[i] < 0)) ++crossings;
-  }
-  EXPECT_NEAR(crossings, 4000, 40);
-}
-
-TEST(Resample, UpsamplingInterpolatesLinearly) {
-  const std::vector<float> x = {0.0F, 1.0F};
-  const auto y = dsp::resample_linear(x, 1000, 2000);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_FLOAT_EQ(y[0], 0.0F);
-  EXPECT_FLOAT_EQ(y[1], 0.5F);
-  EXPECT_FLOAT_EQ(y[2], 1.0F);
-}
-
-TEST(Resample, IdentityRoundTripIsExact) {
-  // from_rate == to_rate must return the input bit-for-bit, even for
-  // awkward lengths and non-integer rates.
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{900},
-                              std::size_t{1001}}) {
-    std::vector<float> x(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = static_cast<float>(std::sin(0.37 * static_cast<double>(i)));
-    }
-    const auto y = dsp::resample_linear(x, 21600.0, 21600.0);
-    ASSERT_EQ(y.size(), x.size()) << "n=" << n;
-    EXPECT_EQ(dynriver::testsupport::max_abs_error(y, x), 0.0) << "n=" << n;
-  }
-}
-
-TEST(Resample, RatioRoundTripRecoversBandLimitedSignal) {
-  // Up 2x then back down: linear interpolation is exact at original sample
-  // positions for the upsample, so the round trip must be near-lossless for
-  // a smooth, oversampled signal.
-  constexpr std::size_t kN = 4096;
-  std::vector<float> x(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    x[i] = static_cast<float>(
-        std::sin(2.0 * std::numbers::pi * 100.0 * static_cast<double>(i) / 21600.0));
-  }
-  const auto up = dsp::resample_linear(x, 21600.0, 43200.0);
-  const auto back = dsp::resample_linear(up, 43200.0, 21600.0);
-  ASSERT_GE(back.size(), kN - 2);
-  double err = 0.0;
-  for (std::size_t i = 0; i + 2 < std::min(back.size(), x.size()); ++i) {
-    err = std::max(err, static_cast<double>(std::abs(back[i] - x[i])));
-  }
-  EXPECT_LT(err, 1e-3);
-}
-
-TEST(Resample, ExtremeRatiosKeepSaneLengths) {
-  const std::vector<float> x(1000, 0.5F);
-  const auto down = dsp::resample_linear(x, 48000.0, 100.0);  // 480x decimation
-  EXPECT_NEAR(static_cast<double>(down.size()), 1000.0 / 480.0, 2.0);
-  for (const float v : down) EXPECT_FLOAT_EQ(v, 0.5F);
-  const auto up = dsp::resample_linear(x, 100.0, 48000.0);  // 480x interpolation
-  EXPECT_NEAR(static_cast<double>(up.size()), 1000.0 * 480.0, 481.0);
 }
 
 TEST(Biquad, StableAtExtremeQ) {

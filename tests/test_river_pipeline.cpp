@@ -1,9 +1,8 @@
-// Pipeline composition: chaining, flush ordering, utility operators.
+// Pipeline composition: chaining, flush ordering, lambda operators.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
-#include "river/ops_util.hpp"
 #include "river/pipeline.hpp"
 
 namespace river = dynriver::river;
@@ -66,7 +65,9 @@ TEST(Pipeline, FlushedRecordsTraverseDownstream) {
 
 TEST(Pipeline, TopologyReportsNames) {
   river::Pipeline p;
-  p.emplace<DoubleOp>().emplace<river::IdentityOp>();
+  p.emplace<DoubleOp>().emplace<river::LambdaOperator>(
+      "identity",
+      [](Record rec, river::Emitter& out) { out.emit(std::move(rec)); });
   const auto names = p.topology();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "double");
@@ -83,55 +84,3 @@ TEST(Pipeline, LambdaOperator) {
           Record::close_scope(river::kScopeClip, 0)});
   EXPECT_EQ(out.size(), 2u);
 }
-
-TEST(CounterOp, CountsDataAndBytes) {
-  river::Pipeline p;
-  auto counter = std::make_unique<river::CounterOp>();
-  auto* raw = counter.get();
-  p.add(std::move(counter));
-  (void)river::run_pipeline(
-      p, {Record::open_scope(river::kScopeClip, 0),
-          Record::data(river::kSubtypeAudio, {1.0F, 2.0F, 3.0F}),
-          Record::data(river::kSubtypeAudio, {4.0F}),
-          Record::close_scope(river::kScopeClip, 0)});
-  EXPECT_EQ(raw->records(), 4u);
-  EXPECT_EQ(raw->data_records(), 2u);
-  EXPECT_EQ(raw->payload_bytes(), 16u);
-}
-
-TEST(SubtypeFilterOp, DropsOtherSubtypes) {
-  river::Pipeline p;
-  p.emplace<river::SubtypeFilterOp>(river::kSubtypeAudio);
-  auto out = river::run_pipeline(
-      p, {Record::open_scope(river::kScopeClip, 0),
-          Record::data(river::kSubtypeAudio, {1.0F}),
-          Record::data(river::kSubtypeSpectrum, {2.0F}),
-          Record::close_scope(river::kScopeClip, 0)});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[1].subtype, river::kSubtypeAudio);
-}
-
-TEST(ScopeSelectOp, KeepsOnlyMatchingScopes) {
-  river::Pipeline p;
-  p.emplace<river::ScopeSelectOp>(river::kScopeEnsemble);
-  auto out = river::run_pipeline(
-      p, {Record::open_scope(river::kScopeClip, 0),
-          Record::data(river::kSubtypeAudio, {9.0F}),  // outside: dropped
-          Record::open_scope(river::kScopeEnsemble, 1),
-          Record::data(river::kSubtypeAudio, {1.0F}),  // inside: kept
-          Record::close_scope(river::kScopeEnsemble, 1),
-          Record::data(river::kSubtypeAudio, {9.0F}),  // outside again
-          Record::close_scope(river::kScopeClip, 0)});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].type, RecordType::kOpenScope);
-  EXPECT_FLOAT_EQ(out[1].floats()[0], 1.0F);
-  EXPECT_EQ(out[2].type, RecordType::kCloseScope);
-}
-
-TEST(AttrStampOp, StampsEveryRecord) {
-  river::Pipeline p;
-  p.emplace<river::AttrStampOp>("station", std::string("kbs-1"));
-  auto out = river::run_pipeline(p, {Record::data(0, {1.0F})});
-  EXPECT_EQ(out[0].attr_string("station", ""), "kbs-1");
-}
-

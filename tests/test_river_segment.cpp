@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "river/manager.hpp"
-#include "river/ops_util.hpp"
 #include "river/segment.hpp"
 
 namespace river = dynriver::river;
@@ -31,7 +30,9 @@ void feed_clips(river::RecordChannel& ch, int clips, int records_per_clip) {
 
 river::Pipeline identity_pipeline() {
   river::Pipeline p;
-  p.emplace<river::IdentityOp>();
+  p.emplace<river::LambdaOperator>(
+      "identity",
+      [](Record rec, river::Emitter& out) { out.emit(std::move(rec)); });
   return p;
 }
 }  // namespace
