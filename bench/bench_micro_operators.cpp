@@ -29,6 +29,7 @@
 #include "dsp/fft_plan.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/spectrogram.hpp"
+#include "fft_oracle.hpp"
 #include "meso/classifier.hpp"
 #include "river/channel.hpp"
 #include "river/sample_io.hpp"
@@ -44,6 +45,7 @@ namespace dsp = dynriver::dsp;
 namespace meso = dynriver::meso;
 namespace river = dynriver::river;
 namespace synth = dynriver::synth;
+namespace testsupport = dynriver::testsupport;
 namespace ts = dynriver::ts;
 
 namespace {
@@ -106,7 +108,7 @@ BENCHMARK(BM_FftRadix2_1024);
 void BM_FftUnplanned_900(benchmark::State& state) {
   std::vector<dsp::Cplx> data(900, {0.5, -0.25});
   for (auto _ : state) {
-    auto out = dsp::fft_unplanned(data);
+    auto out = testsupport::fft_unplanned(data);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -365,7 +367,7 @@ void run_json_sweep() {
       benchmark::DoNotOptimize(out);
     });
     const double unplanned = record("fft_unplanned", n, [&] {
-      auto spec = dsp::fft_unplanned(input);
+      auto spec = testsupport::fft_unplanned(input);
       benchmark::DoNotOptimize(spec);
     });
     if (n == 900) {

@@ -104,7 +104,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // (WireError is a runtime_error too).
   }
 
-  // Replay side: the same range through the prefetching source.
+  // Replay side: the same range through the replay source.
   if (!bounded) {
     try {
       rv::SegmentStoreSource source(dir);

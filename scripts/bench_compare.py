@@ -10,20 +10,27 @@ The committed baseline lives at the repository root: BENCH_micro.json,
 measured on one core. `--baseline 1core` selects it by name relative to this
 script's repository; any other value is taken as a path.
 
-Benchmarks are keyed by (op, size). An op regresses when its current
-value exceeds baseline * (1 + threshold); it improves symmetrically. Every
-unit the schema carries is lower-is-better — "ns/op" timings and size
-metrics like "bytes" (archive_bytes_per_sample) diff identically; records
-without a unit field (older baselines) default to "ns/op". A unit mismatch
-between baseline and current for the same (op, size) is an error.
+Benchmarks are keyed by (op, size). Every unit the schema carries is
+lower-is-better; records without a unit field (older baselines) default to
+"ns/op". A unit mismatch between baseline and current for the same
+(op, size) is an error. Two kinds of row diff differently:
+
+  - Timing rows (unit "ns/op") regress when the current value exceeds
+    baseline * (1 + threshold) and improve symmetrically.
+  - Exact rows (any other unit, e.g. archive_bytes_per_sample in "bytes")
+    measure an output, not a duration, so they carry no noise: one fails
+    as soon as the current value, rounded to the precision the baseline
+    stores, is larger than the baseline.
+
 Ops present in only one file are reported but never fail the run, so a
 baseline taken before an op was added or retired still compares. Exit status
-is 1 when any op regressed (0 with --warn-only, for noisy shared-runner
-environments where the report matters but hard-failing on a 10% swing would
-be flaky).
+is 1 when any op regressed. --warn-only turns timing regressions into
+warnings (for noisy shared-runner environments, where hard-failing on a 10%
+swing would be flaky); an exact row that grew still fails the run.
 """
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -57,6 +64,16 @@ def load(path):
             rec.get("unit", "ns/op"),
         )
     return git, table
+
+
+TIMING_UNITS = {"ns/op"}
+
+
+def stored_decimals(value):
+    """Digits after the point in the shortest repr of `value`: the precision
+    the JSON stored it with (1.316 -> 3)."""
+    exponent = decimal.Decimal(repr(value)).as_tuple().exponent
+    return max(0, -exponent)
 
 
 def fmt_value(value, unit):
@@ -116,6 +133,7 @@ def main():
     print("-" * 86)
 
     regressions = []
+    exact_failures = []
     for key in sorted(base.keys() | cur.keys()):
         op, size = key
         b = base.get(key)
@@ -133,7 +151,15 @@ def main():
             sys.exit(f"{op}@{size}: unit mismatch "
                      f"({b_unit!r} in baseline, {c_unit!r} in current)")
         ratio = c_value / b_value if b_value > 0 else float("inf")
-        if ratio > 1.0 + args.threshold:
+        if b_unit not in TIMING_UNITS:
+            if round(c_value, stored_decimals(b_value)) > b_value:
+                verdict = "EXACT REGRESSION (fails even with --warn-only)"
+                exact_failures.append((op, size, b_value, c_value, b_unit))
+            elif c_value < b_value:
+                verdict = f"improved ({(1 - ratio) * 100:.1f}%)"
+            else:
+                verdict = "ok"
+        elif ratio > 1.0 + args.threshold:
             verdict = f"REGRESSION (+{(ratio - 1) * 100:.1f}%)"
             regressions.append((op, size, ratio))
         elif ratio < 1.0 - args.threshold:
@@ -145,11 +171,18 @@ def main():
               f"{ratio:>6.2f}x  {verdict}")
 
     print("-" * 86)
+    if exact_failures:
+        print(f"{len(exact_failures)} exact row(s) grew:")
+        for op, size, b_value, c_value, unit in exact_failures:
+            print(f"  {op}@{size}: {b_value} -> {c_value} {unit}")
     if regressions:
-        print(f"{len(regressions)} op(s) regressed beyond "
+        print(f"{len(regressions)} timing op(s) regressed beyond "
               f"{args.threshold * 100:.0f}%:")
         for op, size, ratio in regressions:
             print(f"  {op}@{size}: {ratio:.2f}x slower")
+    if exact_failures:
+        return 1
+    if regressions:
         return 0 if args.warn_only else 1
     print("no regressions")
     return 0

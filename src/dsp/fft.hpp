@@ -45,14 +45,6 @@ void fft_radix2(std::span<Cplx> data, bool inverse);
 /// Magnitude spectrum |X[k]| of a real signal, k = 0 .. n-1. Plan-cached.
 [[nodiscard]] std::vector<float> magnitude_spectrum(std::span<const float> input);
 
-/// Legacy unplanned implementations: recompute twiddles/chirp and allocate
-/// scratch on every call. Kept as the reference baseline for the
-/// plan-equivalence property tests and the planned-vs-legacy micro benches;
-/// new code should use the plan-cached functions above or FftPlan directly.
-[[nodiscard]] std::vector<Cplx> fft_unplanned(std::span<const Cplx> input);
-[[nodiscard]] std::vector<Cplx> ifft_unplanned(std::span<const Cplx> input);
-[[nodiscard]] std::vector<Cplx> fft_real_unplanned(std::span<const float> input);
-
 /// Frequency (Hz) of bin k for an n-point transform at `sample_rate`.
 [[nodiscard]] double bin_frequency(std::size_t k, std::size_t n, double sample_rate);
 

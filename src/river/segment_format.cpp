@@ -130,7 +130,7 @@ bool load_segment_index(const fs::path& path, const SegmentFooter& footer,
     const auto t = get_raw<double>(e);
     const auto offset = get_raw<std::uint64_t>(e + 8);
     // Validate here, on the read path — not only in verify(). An offset past
-    // payload_end once made the prefetcher's `payload_end - start` window
+    // payload_end once made the segment walk's `payload_end - start` window
     // size wrap into a huge resize; unsorted or NaN stamps would break the
     // seek's upper_bound probe.
     if (offset < kSegmentHeaderBytes || offset >= footer.payload_end ||

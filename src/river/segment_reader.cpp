@@ -1,13 +1,10 @@
 // Read side of the segment store: the reader, the one segment walk and
-// envelope scanner, and the two readers built from them — the inline Cursor
-// and the prefetching SegmentStoreSource.
+// envelope scanner, the Cursor that runs them inline, and SegmentStoreSource,
+// which replays a cursor as a sample stream on its consumer's thread.
 #include <algorithm>
 #include <array>
-#include <exception>
 #include <fstream>
 #include <limits>
-#include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/checked.hpp"
@@ -111,16 +108,17 @@ bool SegmentWalk::next(SegmentWindow& w) {
   if (next_ < sealed.size()) {
     const SegmentInfo& s = sealed[next_];
     if (s.t_min < t1_) {
+      load_sealed(s, w);  // a throw leaves the walk on this segment
       ++next_;
-      load_sealed(s, w);
       return true;
     }
     next_ = sealed.size();  // time is monotone: nothing later fits,
     tail_done_ = true;      // the active tail included
   }
   if (tail_done_) return false;
+  const bool loaded = load_active(w);
   tail_done_ = true;
-  return load_active(w);
+  return loaded;
 }
 
 void SegmentWalk::load_sealed(const SegmentInfo& s, SegmentWindow& w) const {
@@ -263,7 +261,15 @@ bool SegmentStoreReader::Cursor::next_view(RecordView& out) {
       case EnvelopeScanner::Verdict::kRecord:
         return true;
       case EnvelopeScanner::Verdict::kDrained:
-        if (!walk_.next(window_)) return false;
+        try {
+          if (!walk_.next(window_)) return false;
+        } catch (...) {
+          // Drop the half-loaded window, so a retry reloads the segment the
+          // walk stopped on instead of scanning stale bytes or skipping it.
+          window_ = {};
+          scan_.reset();
+          throw;
+        }
         ++store_->opened_;
         scan_.reset();
         continue;
@@ -287,96 +293,7 @@ bool SegmentStoreReader::Cursor::next(Record& out) {
 }
 
 // ---------------------------------------------------------------------------
-// SegmentPrefetcher: the walk, one segment ahead on a background thread
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-/// Runs a SegmentWalk on its own thread, loading each segment's window while
-/// the consumer decodes the previous one. The hand-off holds one window and
-/// drained buffers go back to the loader, so steady-state replay allocates
-/// no window memory. The destructor joins the thread however early the
-/// consumer stops.
-class SegmentPrefetcher {
- public:
-  SegmentPrefetcher(const SegmentStoreReader& reader, double t0, double t1)
-      : walk_(reader, t0, t1) {
-    thread_ = std::thread([this] { run(); });
-  }
-
-  ~SegmentPrefetcher() {
-    {
-      const common::LockGuard lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  SegmentPrefetcher(const SegmentPrefetcher&) = delete;
-  SegmentPrefetcher& operator=(const SegmentPrefetcher&) = delete;
-
-  /// Trade the drained window `w` for the next one, blocking until it is
-  /// loaded; false at the end of the walk. Rethrows a loader-side failure
-  /// (missing sealed segment file, ...).
-  [[nodiscard]] bool next(SegmentWindow& w) {
-    common::UniqueLock lock(mu_);
-    while (!ready_.has_value() && !done_) cv_.wait(lock);
-    if (!ready_.has_value()) {
-      if (error_ != nullptr) std::rethrow_exception(error_);
-      return false;
-    }
-    spare_ = std::move(w.bytes);
-    w = std::move(*ready_);
-    ready_.reset();
-    cv_.notify_all();  // free the loader's slot
-    return true;
-  }
-
- private:
-  void run() {
-    std::exception_ptr error;
-    try {
-      for (;;) {
-        SegmentWindow w;
-        {
-          const common::LockGuard lock(mu_);
-          if (stop_) return;
-          w.bytes = std::move(spare_);
-        }
-        if (!walk_.next(w)) break;
-        common::UniqueLock lock(mu_);
-        while (ready_.has_value() && !stop_) cv_.wait(lock);
-        if (stop_) return;
-        ready_ = std::move(w);
-        cv_.notify_all();
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      const common::LockGuard lock(mu_);
-      error_ = error;
-      done_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  SegmentWalk walk_;  ///< touched by the loader thread only
-  common::Mutex mu_;
-  common::CondVar cv_;
-  std::optional<SegmentWindow> ready_ DR_GUARDED_BY(mu_);
-  std::vector<std::uint8_t> spare_ DR_GUARDED_BY(mu_);
-  std::exception_ptr error_ DR_GUARDED_BY(mu_);
-  bool done_ DR_GUARDED_BY(mu_) = false;
-  bool stop_ DR_GUARDED_BY(mu_) = false;
-  std::thread thread_;  ///< started in ctor, joined in dtor only
-};
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// SegmentStoreSource
+// SegmentStoreSource: a cursor, read on the consumer's thread
 // ---------------------------------------------------------------------------
 
 SegmentStoreSource::SegmentStoreSource(const std::filesystem::path& dir,
@@ -384,31 +301,15 @@ SegmentStoreSource::SegmentStoreSource(const std::filesystem::path& dir,
                                        std::uint32_t subtype)
     : RecordSampleSource(subtype),
       reader_(std::make_unique<SegmentStoreReader>(dir)),
-      prefetcher_(std::make_unique<SegmentPrefetcher>(*reader_, t0, t1)),
-      scan_(t0, t1) {}
-
-SegmentStoreSource::~SegmentStoreSource() = default;  // joins the prefetcher
+      cursor_(reader_->seek(t0, t1)) {}
 
 RecordSampleSource::Next SegmentStoreSource::next_view(RecordView& view) {
-  for (;;) {
-    switch (scan_.next(window_, scratch_, view)) {
-      case EnvelopeScanner::Verdict::kRecord:
-        return Next::kRecord;
-      case EnvelopeScanner::Verdict::kDrained:
-        try {
-          if (!prefetcher_->next(window_)) return Next::kEnd;
-        } catch (const WireError&) {
-          return Next::kLost;  // damaged sealed segment; verify() pinpoints it
-        }
-        ++reader_->opened_;  // same accounting as a cursor
-        scan_.reset();
-        continue;
-      case EnvelopeScanner::Verdict::kEnd:
-        return Next::kEnd;
-      case EnvelopeScanner::Verdict::kTorn:
-      case EnvelopeScanner::Verdict::kDamaged:
-        return Next::kLost;
-    }
+  try {
+    if (cursor_.next_view(view)) return Next::kRecord;
+    return cursor_.torn() ? Next::kLost : Next::kEnd;
+  } catch (const WireError&) {
+    // An unreadable or damaged sealed segment; verify() pinpoints it.
+    return Next::kLost;
   }
 }
 

@@ -70,10 +70,6 @@ namespace dynriver::river {
 class SegmentStoreReader;
 }  // namespace dynriver::river
 
-namespace dynriver::river::detail {
-class SegmentPrefetcher;
-}  // namespace dynriver::river::detail
-
 namespace dynriver::river {
 
 /// CRC-32C (Castagnoli polynomial, reflected — the storage-grade CRC with
@@ -316,7 +312,8 @@ class SegmentWalk {
   SegmentWalk(const SegmentStoreReader& reader, double t0, double t1);
 
   /// Load the next segment into `w`, reusing its buffer; false once the walk
-  /// is over. Throws WireError when a sealed segment cannot be read.
+  /// is over. Throws WireError when a sealed segment cannot be read, and
+  /// stays on that segment: the next call tries it again.
   [[nodiscard]] bool next(SegmentWindow& w);
 
  private:
@@ -384,8 +381,8 @@ class SegmentStoreReader {
   /// on disk (bytes = current size, frames unknown until sealed).
   [[nodiscard]] std::vector<SegmentInfo> segments() const;
 
-  /// Segments read so far by this reader's cursors (or by the replay source
-  /// that owns it) — pinned by tests to prove a walk touches only segments
+  /// Segments read so far by this reader's cursors (the replay source's
+  /// included) — pinned by tests to prove a walk touches only segments
   /// overlapping the requested range.
   [[nodiscard]] std::size_t segments_opened() const { return opened_; }
 
@@ -399,7 +396,10 @@ class SegmentStoreReader {
    public:
     /// Next record with stream time in [t0, t1); false at end of range.
     /// A torn active tail ends the cursor cleanly with torn() set; sealed
-    /// segment damage throws WireError (verify() pinpoints it).
+    /// segment damage, or a sealed segment that cannot be read, throws
+    /// WireError (verify() pinpoints it). A throw is sticky: calling again
+    /// throws again or, if the segment has become readable, restarts at its
+    /// first record — never at a later segment's.
     [[nodiscard]] bool next(Record& out);
 
     /// Allocation-free variant: `out` borrows the cursor's segment buffer
@@ -440,7 +440,6 @@ class SegmentStoreReader {
   [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
 
  private:
-  friend class SegmentStoreSource;  // replay keeps opened_ honest
   friend class detail::SegmentWalk;
 
   std::filesystem::path dir_;
@@ -451,17 +450,16 @@ class SegmentStoreReader {
 
 /// Replays a time range of a segment store as a sample stream: drop it into
 /// run_stream / SessionScheduler and a month of archive re-extracts through
-/// the same sessions that serve live traffic. A background thread runs the
-/// segment walk one segment ahead of decoding (joined cleanly however early
-/// the replay stops); decoding then runs in memory, allocation-free per
-/// frame.
+/// the same sessions that serve live traffic. Reads drain one Cursor on the
+/// caller's thread (the scheduler's reader thread for a pull-fed station),
+/// decoding allocation-free per frame. A torn tail or a sealed segment that
+/// is damaged or cannot be read ends the stream as not clean().
 class SegmentStoreSource final : public RecordSampleSource {
  public:
   explicit SegmentStoreSource(
       const std::filesystem::path& dir, double t0 = 0.0,
       double t1 = std::numeric_limits<double>::infinity(),
       std::uint32_t subtype = kSubtypeAudio);
-  ~SegmentStoreSource() override;
 
   [[nodiscard]] const SegmentStoreReader& reader() const { return *reader_; }
 
@@ -470,11 +468,8 @@ class SegmentStoreSource final : public RecordSampleSource {
   [[nodiscard]] Next next_audio(FloatVec& pending) override;
   [[nodiscard]] Next next_view(RecordView& view);
 
-  std::unique_ptr<SegmentStoreReader> reader_;
-  std::unique_ptr<detail::SegmentPrefetcher> prefetcher_;
-  detail::SegmentWindow window_;  ///< the segment being decoded
-  detail::EnvelopeScanner scan_;
-  WireScratch scratch_;
+  std::unique_ptr<SegmentStoreReader> reader_;  ///< stable for cursor_
+  SegmentStoreReader::Cursor cursor_;
 };
 
 /// Streams raw audio into a SegmentedRecordLog as self-describing records:

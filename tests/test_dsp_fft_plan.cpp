@@ -10,9 +10,13 @@
 
 #include "dsp/fft.hpp"
 #include "dsp/fft_plan.hpp"
+#include "fft_oracle.hpp"
 #include "test_support.hpp"
 
 namespace dsp = dynriver::dsp;
+using dynriver::testsupport::fft_real_unplanned;
+using dynriver::testsupport::fft_unplanned;
+using dynriver::testsupport::ifft_unplanned;
 using dynriver::testsupport::max_abs_error;
 using dynriver::testsupport::random_complex_signal;
 
@@ -38,7 +42,7 @@ TEST(FftPlanSweep, MatchesUnplannedForAllSizes1To257) {
     const auto x = random_complex_signal(n, static_cast<unsigned>(n) + 40000);
     std::vector<dsp::Cplx> planned(n);
     cache.get(n).forward(x, planned);
-    const auto legacy = dsp::fft_unplanned(x);
+    const auto legacy = fft_unplanned(x);
     EXPECT_LT(max_abs_error(planned, legacy), size_tol(n)) << "n=" << n;
   }
 }
@@ -53,7 +57,7 @@ TEST_P(FftPlanSizes, ForwardMatchesUnplanned) {
   std::vector<dsp::Cplx> planned(n);
   dsp::FftPlan plan(n);
   plan.forward(x, planned);
-  EXPECT_LT(max_abs_error(planned, dsp::fft_unplanned(x)), size_tol(n))
+  EXPECT_LT(max_abs_error(planned, fft_unplanned(x)), size_tol(n))
       << "n=" << n;
 }
 
@@ -110,7 +114,7 @@ TEST(FftPlanReal, RealPathsMatchLegacy) {
 
     std::vector<dsp::Cplx> spec(n);
     plan.forward_real(x, spec);
-    EXPECT_LT(max_abs_error(spec, dsp::fft_real_unplanned(x)), size_tol(n))
+    EXPECT_LT(max_abs_error(spec, fft_real_unplanned(x)), size_tol(n))
         << "n=" << n;
 
     std::vector<float> mags(n);
@@ -138,7 +142,7 @@ TEST(FftPlanReal, FastPathMatchesUnplannedSweep) {
     const auto x = random_real_signal(n, static_cast<unsigned>(n) + 110000);
     std::vector<dsp::Cplx> fast(n);
     cache.get(n).forward_real(x, fast);
-    EXPECT_LT(max_abs_error(fast, dsp::fft_real_unplanned(x)), size_tol(n))
+    EXPECT_LT(max_abs_error(fast, fft_real_unplanned(x)), size_tol(n))
         << "n=" << n;
   }
 }
@@ -195,10 +199,10 @@ TEST(FftPlanFreeFunctions, PlanCachedWrappersMatchUnplanned) {
   // cache; they must agree with the legacy implementations they replaced.
   for (const std::size_t n : {64UL, 257UL, 900UL}) {
     const auto x = random_complex_signal(n, static_cast<unsigned>(n) + 200);
-    EXPECT_LT(max_abs_error(dsp::fft(x), dsp::fft_unplanned(x)), size_tol(n));
-    EXPECT_LT(max_abs_error(dsp::ifft(x), dsp::ifft_unplanned(x)), size_tol(n));
+    EXPECT_LT(max_abs_error(dsp::fft(x), fft_unplanned(x)), size_tol(n));
+    EXPECT_LT(max_abs_error(dsp::ifft(x), ifft_unplanned(x)), size_tol(n));
     const auto r = random_real_signal(n, static_cast<unsigned>(n) + 300);
-    EXPECT_LT(max_abs_error(dsp::fft_real(r), dsp::fft_real_unplanned(r)),
+    EXPECT_LT(max_abs_error(dsp::fft_real(r), fft_real_unplanned(r)),
               size_tol(n));
   }
 }

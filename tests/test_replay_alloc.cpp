@@ -5,7 +5,7 @@
 // global operator new with a counting shim and measuring a warm window.
 //
 // The budget is deliberately not exactly zero: per-*segment* costs (an
-// ifstream, a prefetch window handoff) are allowed, per-*frame* costs are
+// ifstream, a window reload) are allowed, per-*frame* costs are
 // not — hence the < 0.05 allocations/frame ceiling.
 #include <gtest/gtest.h>
 
@@ -80,13 +80,12 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
     log.close();
   }
 
-  // Replay through the source: windows come from the prefetch thread.
+  // Replay through the source: it drains a cursor on this thread.
   {
     river::SegmentStoreSource source(dir);
     std::vector<float> buf(256);
 
-    // Warm-up: 300 records' worth grows every reusable buffer (and lets the
-    // background loader finish its window).
+    // Warm-up: 300 records' worth grows every reusable buffer.
     std::size_t warmed = 0;
     while (warmed < 300 * kRecordSamples) {
       const std::size_t n = source.read(buf);
@@ -111,13 +110,13 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
         << "prefetched replay allocated " << during << " times across "
         << kMeasuredRecords << " records";
 
-    // Drain the rest so the source shuts down cleanly inside the test body.
+    // Drain the rest: the replay must end clean.
     while (source.read(buf) > 0) {
     }
     EXPECT_TRUE(source.clean());
   }
 
-  // The synchronous path: a cursor runs the same walk inline.
+  // The cursor on its own: the same walk and decode, without the source.
   {
     river::SegmentStoreReader reader(dir);
     auto cursor = reader.seek(0.0);

@@ -305,8 +305,8 @@ TEST_F(SegmentStoreTest, SeekTouchesOnlyOverlappingSegments) {
   EXPECT_FALSE(beyond.next(rec));
   EXPECT_EQ(reader.segments_opened(), 3U);
 
-  // The same bounds hold on the production replay path, whose walk runs on
-  // the prefetch thread.
+  // The same bounds hold on the production replay path, whose cursor counts
+  // into the same reader.
   river::SegmentStoreSource source(dir, 3.05, 5.5);
   (void)drain(source, 64);
   EXPECT_TRUE(source.clean());
@@ -491,8 +491,10 @@ TEST_F(SegmentStoreTest, ReadContractTornActiveTornHeaderAndSealedDamage) {
   // The reader contract, pinned on stores no log has reopened (so nothing
   // recovered them): a torn active tail ends a cursor cleanly with torn()
   // and the unreadable byte count; an unreadable active header loses the
-  // whole file; damage in a sealed segment throws WireError. The replay
-  // source reports all three as an unclean end.
+  // whole file; damage in a sealed segment throws WireError, and so does a
+  // sealed segment whose file retention deleted under the snapshot — again
+  // on a retry, which must not skip on to the next segment. The replay
+  // source reports all four as an unclean end.
   const auto torn_dir = temp_file("torn");
   fs::create_directories(torn_dir);
   write_torn_active_segment(torn_dir / "seg-000000.drs");
@@ -519,6 +521,25 @@ TEST_F(SegmentStoreTest, ReadContractTornActiveTornHeaderAndSealedDamage) {
     f.write(&x, 1);
   }
 
+  const auto missing_dir = temp_file("missing");
+  std::size_t first_segment_samples = 0;
+  {
+    river::SegmentStoreOptions options;
+    options.max_segment_bytes = 4 << 10;
+    river::SegmentedRecordLog log(missing_dir, options);
+    river::AudioSegmentArchiver archiver(log, 1000.0, 100);
+    archiver.push(ramp(10000));
+    archiver.finish();
+    log.close();
+  }
+  {  // retention deleting a file the manifest still names
+    river::SegmentStoreReader probe(missing_dir);
+    const auto segments = probe.segments();
+    ASSERT_GT(segments.size(), 2U);
+    first_segment_samples = segments[0].frames * 100;
+    fs::remove(missing_dir / segments[1].name);
+  }
+
   {
     river::SegmentStoreReader reader(torn_dir);
     auto cursor = reader.seek(0.0);
@@ -542,12 +563,22 @@ TEST_F(SegmentStoreTest, ReadContractTornActiveTornHeaderAndSealedDamage) {
     auto cursor = reader.seek(0.0);
     EXPECT_THROW((void)drain_cursor(cursor), river::WireError);
   }
+  {
+    river::SegmentStoreReader reader(missing_dir);
+    auto cursor = reader.seek(0.0);
+    EXPECT_THROW((void)drain_cursor(cursor), river::WireError);
+    EXPECT_THROW((void)drain_cursor(cursor), river::WireError)
+        << "a retry skipped the missing segment";
+  }
 
-  for (const auto& dir : {torn_dir, header_dir, damaged_dir}) {
+  for (const auto& dir : {torn_dir, header_dir, damaged_dir, missing_dir}) {
     river::SegmentStoreSource source(dir);
-    (void)drain(source, 256);
+    const auto samples = drain(source, 256);
     EXPECT_TRUE(source.exhausted()) << dir.filename();
     EXPECT_FALSE(source.clean()) << dir.filename();
+    if (dir == missing_dir) {
+      EXPECT_EQ(samples.size(), first_segment_samples);
+    }
   }
 }
 
@@ -964,8 +995,8 @@ TEST_F(StaleReaderCompactionRace, PrefetchedReplaySkipsMergedOldData) {
   build_store(dir);
   plant_merged_segment(dir);
 
-  // Same stale view through the prefetching replay path (its loader thread
-  // walks the identical segment sequence and must apply the same probe).
+  // Same stale view through the replay source (its cursor walks the
+  // identical segment sequence and must apply the same probe).
   river::SegmentStoreSource source(dir);
   const auto samples = drain(source, 64);
   EXPECT_EQ(samples.size(), kRecords * 32)
@@ -1238,7 +1269,7 @@ TEST_F(SegmentStoreTest, PackedReplayBitIdenticalEveryChunkingAndBothPaths) {
 }
 
 TEST_F(SegmentStoreTest, PackedReplayExtractionMatchesLiveAndSingleSegment) {
-  // The tentpole pin: compressed + prefetched replay drives extraction to
+  // The tentpole pin: compressed, multi-segment replay drives extraction to
   // the same ensembles as live extraction and as a raw single-segment
   // replay.
   const auto params = small_params();
