@@ -352,7 +352,7 @@ void run_json_sweep() {
 
   bench::print_header("micro JSON sweep (BENCH_micro.json)");
 
-  // Planned vs legacy FFT on the pipeline's Bluestein size (900), a prime
+  // Planned vs legacy FFT on the pipeline's Stockham size (900), a prime
   // (257), and a power of two (1024). The plan is fetched once per size
   // from the thread-local cache, like every production call site.
   double planned_900 = 0.0;

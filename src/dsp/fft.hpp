@@ -3,8 +3,11 @@
 // The paper's `dft` operator computes the discrete Fourier transform of each
 // (windowed) ensemble record. The repository default record length is 900
 // samples (see DESIGN.md section 3), so a power-of-2-only FFT is not enough:
-// we provide an iterative radix-2 FFT plus Bluestein's chirp-z algorithm for
-// arbitrary lengths, and a naive O(n^2) DFT as a cross-check reference.
+// the plan-cached transforms (dsp/fft_plan.hpp) run radix-2 for powers of
+// two, a mixed-radix Stockham chain for other sizes whose prime factors are
+// all <= 5 (900 = 2^2*3^2*5^2), and Bluestein's chirp-z algorithm for the
+// rest. This header also keeps the plain iterative radix-2 FFT and a naive
+// O(n^2) DFT as a cross-check reference.
 #pragma once
 
 #include <complex>
@@ -27,7 +30,8 @@ using Cplx = std::complex<double>;
 /// `inverse` computes the unscaled inverse transform (caller divides by n).
 void fft_radix2(std::span<Cplx> data, bool inverse);
 
-/// FFT for arbitrary sizes: radix-2 when possible, Bluestein otherwise.
+/// FFT for arbitrary sizes: radix-2 for powers of two, mixed-radix Stockham
+/// for other 5-smooth sizes, Bluestein otherwise (FftPlan picks).
 /// Forward transform, no normalization. Plan-cached: transforms of a size
 /// seen before on this thread reuse precomputed tables (see dsp/fft_plan.hpp).
 [[nodiscard]] std::vector<Cplx> fft(std::span<const Cplx> input);

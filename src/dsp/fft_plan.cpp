@@ -43,6 +43,41 @@ std::vector<Cplx> make_twiddles(std::size_t s) {
   return table;
 }
 
+/// Stockham stage radices for a size n that is not a power of two, first
+/// stage first, or empty when n has a prime factor above 5. Radix-4 stages
+/// (and one radix-2 for a leftover factor 2) run first: the first stage has
+/// l = 1, so its butterflies all take the scalar path and it should be the
+/// multiply-free one, and an even l afterwards keeps every later stage on
+/// full vector pairs.
+std::vector<std::size_t> stockham_radices(std::size_t n) {
+  std::vector<std::size_t> radices;
+  for (; n % 4 == 0; n /= 4) radices.push_back(4);
+  for (const std::size_t r : {2UL, 3UL, 5UL}) {
+    for (; n % r == 0; n /= r) radices.push_back(r);
+  }
+  if (n != 1) radices.clear();
+  return radices;
+}
+
+/// Per-stage Stockham twiddles for `radices`, stages concatenated: the stage
+/// with radix R after stages of product l holds exp(-2*pi*i*k*r/(l*R)) at
+/// (r-1)*l + k, for 1 <= r < R and k < l.
+std::vector<Cplx> make_stage_twiddles(const std::vector<std::size_t>& radices) {
+  std::vector<Cplx> table;
+  std::size_t l = 1;
+  for (const std::size_t radix : radices) {
+    const double span = static_cast<double>(l * radix);
+    for (std::size_t r = 1; r < radix; ++r) {
+      for (std::size_t k = 0; k < l; ++k) {
+        const double angle = -2.0 * kPi * static_cast<double>(k * r) / span;
+        table.emplace_back(std::cos(angle), std::sin(angle));
+      }
+    }
+    l *= radix;
+  }
+  return table;
+}
+
 /// Interleaved (re, im) view of a complex array for the SIMD kernels —
 /// sanctioned by the std::complex array-oriented access guarantee.
 double* as_doubles(Cplx* p) { return reinterpret_cast<double*>(p); }
@@ -53,6 +88,15 @@ const double* as_doubles(const Cplx* p) {
 
 FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_power_of_two(n)) {
   DR_EXPECTS(n >= 1);
+
+  // A 5-smooth size needs only the Stockham state; the radix-2 tables below
+  // serve powers of two and the Bluestein convolution.
+  if (!pow2_) radices_ = stockham_radices(n_);
+  if (!radices_.empty()) {
+    stage_twiddle_ = make_stage_twiddles(radices_);
+    work_.resize(n_);
+    return;
+  }
 
   const std::size_t sub = pow2_ ? n_ : next_power_of_two(2 * n_ + 1);
   bitrev_ = make_bitrev(sub);
@@ -114,6 +158,28 @@ void FftPlan::radix2_forward(std::span<Cplx> data) const {
   }
 }
 
+void FftPlan::mixed_radix_forward(std::span<Cplx> data) {
+  double* src = as_doubles(data.data());
+  double* dst = as_doubles(work_.data());
+  const double* tw = as_doubles(stage_twiddle_.data());
+  std::size_t l = 1;  // product of the radices already applied
+  for (const std::size_t radix : radices_) {
+    const std::size_t m = n_ / (l * radix);
+    switch (radix) {
+      case 2: simd::stockham_stage<2>(dst, src, tw, l, m); break;
+      case 3: simd::stockham_stage<3>(dst, src, tw, l, m); break;
+      case 4: simd::stockham_stage<4>(dst, src, tw, l, m); break;
+      default: simd::stockham_stage<5>(dst, src, tw, l, m); break;
+    }
+    tw += 2 * (radix - 1) * l;
+    l *= radix;
+    std::swap(src, dst);
+  }
+  if (src != as_doubles(data.data())) {
+    std::copy(work_.begin(), work_.end(), data.begin());
+  }
+}
+
 void FftPlan::bluestein_forward(std::span<Cplx> data) {
   // a[k] = x[k] * chirp[k], zero-padded to the convolution length.
   simd::complex_multiply(as_doubles(conv_.data()), as_doubles(data.data()),
@@ -161,6 +227,8 @@ void FftPlan::forward(std::span<Cplx> data) {
   DR_EXPECTS(data.size() == n_);
   if (pow2_) {
     radix2_forward(data);
+  } else if (!radices_.empty()) {
+    mixed_radix_forward(data);
   } else {
     bluestein_forward(data);
   }
@@ -200,7 +268,17 @@ void FftPlan::forward_real_one(const float* in, Cplx* out) {
     return;
   }
   if (n_ % 2 != 0) {
-    bluestein_forward_real(in, out);
+    if (radices_.empty()) {
+      bluestein_forward_real(in, out);
+      return;
+    }
+    // Odd 5-smooth size: the complex chain on the widened input, then the
+    // same Hermitian mirror as the Bluestein branch.
+    for (std::size_t k = 0; k < n_; ++k) {
+      out[k] = Cplx(static_cast<double>(in[k]), 0.0);
+    }
+    mixed_radix_forward(std::span<Cplx>(out, n_));
+    for (std::size_t k = 1; k <= n_ / 2; ++k) out[n_ - k] = std::conj(out[k]);
     return;
   }
 

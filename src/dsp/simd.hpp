@@ -2,8 +2,9 @@
 //
 // Every per-element loop the FFT and windowing code runs millions of times at
 // archive scale lives here as a small kernel: radix-2/radix-4 butterflies,
-// pointwise complex multiplies (the Bluestein chirp/convolution steps),
-// window application, float<->double widening, and magnitude extraction.
+// the radix-2/3/4/5 mixed-radix Stockham stages, pointwise complex
+// multiplies (the Bluestein chirp/convolution steps), window application,
+// float<->double widening, and magnitude extraction.
 //
 // The vector path uses GCC/Clang generic vector extensions — no intrinsics,
 // no runtime dispatch — so the same source compiles to SSE2 on a portable
@@ -24,6 +25,7 @@
 // moves) and arbitrary sizes including odd tails.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -307,6 +309,156 @@ inline void radix4_first_pass(double* d, std::size_t s) {
     p[7] = t1i + dr;
   }
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Mixed-radix Stockham stages (Temperton, "Self-sorting mixed-radix FFTs",
+// J. Comput. Phys. 1983). FftPlan runs every size 2^a 3^b 5^c that is not a
+// power of two as a chain of these out-of-place stages, ping-ponging between
+// two buffers; each stage writes its output in the order the next stage
+// reads, so the result comes out in natural order with no bit-reversal.
+//
+// The radix butterflies are written once, as templates over the value type:
+// a V4d (two complex values, one per lane pair) in the vector body and a C1
+// (one complex value) in the scalar body and the tails. Both backends
+// therefore run the same IEEE operations per element.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// One complex value: the scalar counterpart of a V4d lane pair.
+struct C1 {
+  double re;
+  double im;
+};
+inline C1 operator+(C1 a, C1 b) { return {a.re + b.re, a.im + b.im}; }
+inline C1 operator-(C1 a, C1 b) { return {a.re - b.re, a.im - b.im}; }
+inline C1 operator*(C1 a, double s) { return {a.re * s, a.im * s}; }
+/// Same (ar*br - ai*bi, ar*bi + ai*br) sequence as the vector cmul.
+inline C1 cmul(C1 a, C1 b) {
+  return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+}
+/// -i*a: an exact swap and negate.
+inline C1 mul_neg_i(C1 a) { return {a.im, -a.re}; }
+inline void load(C1& v, const double* p) { v = {p[0], p[1]}; }
+inline void store(double* p, C1 v) {
+  p[0] = v.re;
+  p[1] = v.im;
+}
+
+#if DYNRIVER_SIMD_VECTOR_EXT
+inline V4d mul_neg_i(V4d a) {
+  const V4d sign = {1.0, -1.0, 1.0, -1.0};
+  return shuffle<1, 0, 3, 2>(a) * sign;
+}
+inline void load(V4d& v, const double* p) { v = load4d(p); }
+inline void store(double* p, V4d v) { store4d(p, v); }
+#endif
+
+// Forward R-point DFTs, in place: y_k = sum_j x_j exp(-2*pi*i*j*k/R).
+// Radix 3 and 5 use the usual real-constant factorizations (the conjugate
+// pair y_k, y_{R-k} share their real and imaginary partial sums).
+constexpr double kSin60 = 0.8660254037844386;      // sin(2*pi/3)
+constexpr double kCos72 = 0.30901699437494745;     // cos(2*pi/5)
+constexpr double kCos144 = -0.8090169943749475;    // cos(4*pi/5)
+constexpr double kSin72 = 0.9510565162951535;      // sin(2*pi/5)
+constexpr double kSin144 = 0.5877852522924731;     // sin(4*pi/5)
+
+template <class T>
+inline void dft(std::array<T, 2>& x) {
+  const T a = x[0];
+  x[0] = a + x[1];
+  x[1] = a - x[1];
+}
+
+template <class T>
+inline void dft(std::array<T, 3>& x) {
+  const T sum = x[1] + x[2];
+  const T real = x[0] - sum * 0.5;
+  const T imag = mul_neg_i(x[1] - x[2]) * kSin60;
+  x[0] = x[0] + sum;
+  x[1] = real + imag;
+  x[2] = real - imag;
+}
+
+template <class T>
+inline void dft(std::array<T, 4>& x) {
+  const T t0 = x[0] + x[2];
+  const T t1 = x[0] - x[2];
+  const T t2 = x[1] + x[3];
+  const T t3 = mul_neg_i(x[1] - x[3]);
+  x[0] = t0 + t2;
+  x[1] = t1 + t3;
+  x[2] = t0 - t2;
+  x[3] = t1 - t3;
+}
+
+template <class T>
+inline void dft(std::array<T, 5>& x) {
+  const T a1 = x[1] + x[4];
+  const T b1 = x[1] - x[4];
+  const T a2 = x[2] + x[3];
+  const T b2 = x[2] - x[3];
+  const T real1 = x[0] + a1 * kCos72 + a2 * kCos144;
+  const T real2 = x[0] + a1 * kCos144 + a2 * kCos72;
+  const T imag1 = mul_neg_i(b1 * kSin72 + b2 * kSin144);
+  const T imag2 = mul_neg_i(b1 * kSin144 - b2 * kSin72);
+  x[0] = x[0] + a1 + a2;
+  x[1] = real1 + imag1;
+  x[2] = real2 + imag2;
+  x[3] = real2 - imag2;
+  x[4] = real1 - imag1;
+}
+
+/// One radix-R Stockham butterfly (per lane of T): legs src[r*leg] for
+/// r < R, twiddled by tw[(r-1)*l] for r >= 1, written to dst[r*l]. Offsets
+/// count complex elements.
+template <class T, std::size_t R>
+inline void stockham_butterfly(double* dst, const double* src,
+                               const double* tw, std::size_t l,
+                               std::size_t leg) {
+  std::array<T, R> x{};
+  load(x[0], src);
+  for (std::size_t r = 1; r < R; ++r) {
+    T w{};
+    load(x[r], src + 2 * r * leg);
+    load(w, tw + 2 * (r - 1) * l);
+    x[r] = cmul(x[r], w);
+  }
+  dft(x);
+  for (std::size_t r = 0; r < R; ++r) store(dst + 2 * r * l, x[r]);
+}
+
+}  // namespace detail
+
+/// One radix-R Stockham stage (R = 2, 3, 4 or 5), out of place, over
+/// n = R*l*m interleaved complex values, where l is the product of the
+/// radices of the stages before it. For block b < m and k < l, the
+/// butterfly reads legs in[b*l + k + r*l*m], multiplies leg r >= 1 by
+/// tw[(r-1)*l + k] = exp(-2*pi*i*k*r/(l*R)), runs an R-point DFT, and
+/// writes out[b*l*R + k + r*l]. `out` and `in` may not overlap. The vector
+/// path runs two k per iteration; an odd l leaves a one-butterfly tail.
+template <std::size_t R>
+inline void stockham_stage(double* __restrict out, const double* __restrict in,
+                           const double* __restrict tw, std::size_t l,
+                           std::size_t m) {
+  static_assert(R >= 2 && R <= 5, "radix 2, 3, 4 or 5");
+  const std::size_t leg = l * m;  // n/R: distance between a butterfly's legs
+  for (std::size_t b = 0; b < m; ++b) {
+    const double* src = in + 2 * b * l;
+    double* dst = out + 2 * b * l * R;
+    std::size_t k = 0;
+#if DYNRIVER_SIMD_VECTOR_EXT
+    for (; k + 2 <= l; k += 2) {
+      detail::stockham_butterfly<detail::V4d, R>(dst + 2 * k, src + 2 * k,
+                                                 tw + 2 * k, l, leg);
+    }
+#endif
+    for (; k < l; ++k) {
+      detail::stockham_butterfly<detail::C1, R>(dst + 2 * k, src + 2 * k,
+                                                tw + 2 * k, l, leg);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ namespace dynriver::eval {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x44524343;    // "DRCC"
-constexpr std::uint32_t kFormatVersion = 1;
+// Bump whenever featurize output changes numerically (for example when the
+// FFT algorithm changes), not only when the layout does: the fingerprint
+// covers config fields only, so a stale file would otherwise still load.
+constexpr std::uint32_t kFormatVersion = 2;
 
 // -- fingerprint --------------------------------------------------------------
 

@@ -77,4 +77,27 @@ std::vector<Cplx> fft_real_unplanned(std::span<const float> input) {
   return fft_unplanned(cplx_in);
 }
 
+std::vector<std::complex<long double>> dft_long_double(
+    std::span<const Cplx> input) {
+  using Cl = std::complex<long double>;
+  const std::size_t n = input.size();
+  std::vector<Cl> twiddle(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const long double angle = -2.0L * std::numbers::pi_v<long double> *
+                              static_cast<long double>(j) /
+                              static_cast<long double>(n);
+    twiddle[j] = Cl(std::cos(angle), std::sin(angle));
+  }
+  std::vector<Cl> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    Cl acc(0.0L, 0.0L);
+    for (std::size_t j = 0; j < n; ++j) {
+      const Cl x(input[j].real(), input[j].imag());
+      acc += x * twiddle[(j * k) % n];
+    }
+    out[k] = acc;
+  }
+  return out;
+}
+
 }  // namespace dynriver::testsupport

@@ -1,11 +1,14 @@
 // Plan/legacy equivalence: the planned FFT (dsp/fft_plan.hpp) must match
 // the legacy unplanned implementations — and for small sizes the naive DFT —
-// across a size sweep of 1..257 plus primes and powers of two, forcing both
-// the radix-2 and Bluestein paths. Also covers plan reuse, in-place vs
-// out-of-place execution, the real-input paths, and PlanCache behaviour.
+// across a size sweep of 1..257 plus primes and powers of two, forcing the
+// radix-2, mixed-radix Stockham and Bluestein paths. Also covers plan reuse,
+// in-place vs out-of-place execution, the real-input paths, accuracy
+// against a long-double DFT, and PlanCache behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <random>
 
 #include "dsp/fft.hpp"
@@ -14,6 +17,7 @@
 #include "test_support.hpp"
 
 namespace dsp = dynriver::dsp;
+using dynriver::testsupport::dft_long_double;
 using dynriver::testsupport::fft_real_unplanned;
 using dynriver::testsupport::fft_unplanned;
 using dynriver::testsupport::ifft_unplanned;
@@ -31,6 +35,17 @@ std::vector<float> random_real_signal(std::size_t n, unsigned seed) {
 }
 
 double size_tol(std::size_t n) { return 1e-9 * static_cast<double>(n + 1); }
+
+/// Max |got[k] - want[k]| against a long-double reference spectrum.
+double max_error_vs(const std::vector<dsp::Cplx>& got,
+                    const std::vector<std::complex<long double>>& want) {
+  double worst = 0.0;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const std::complex<long double> g(got[k].real(), got[k].imag());
+    worst = std::max(worst, static_cast<double>(std::abs(g - want[k])));
+  }
+  return worst;
+}
 
 }  // namespace
 
@@ -107,6 +122,58 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftPlanSizes,
                          ::testing::Values(263, 337, 521, 857, 900, 1021, 1024,
                                            2048, 2053));
 
+/// True when n = 2^a 3^b 5^c and is not a power of two: the sizes FftPlan
+/// runs on the mixed-radix Stockham path, complex and real alike (an even
+/// real size runs its n/2 half plan, which then qualifies too).
+bool runs_stockham(std::size_t n) {
+  if (dsp::is_power_of_two(n)) return false;
+  for (const std::size_t p : {2UL, 3UL, 5UL}) {
+    while (n % p == 0) n /= p;
+  }
+  return n == 1;
+}
+
+// Accuracy gate for the mixed-radix path, which is not bit-identical to the
+// Bluestein transform it replaced: against a long-double naive DFT, the
+// planned complex and real transforms must be no less accurate than the
+// Bluestein oracle on the same seeded input. The sweep covers 1..257 (every
+// radix-2, Stockham and Bluestein shape up to there) plus the 5-smooth
+// sizes around the pipeline's record length. Radix-2 and Bluestein sizes
+// run the same algorithm on both sides, implemented twice, so their errors
+// differ only by rounding either way (n=7, 11, 16 and real n=14 come out a
+// few ulps above the oracle); they are held to twice the oracle's error.
+TEST(FftPlanAccuracy, NoWorseThanBluesteinOracle) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 257; ++n) sizes.push_back(n);
+  for (const std::size_t n : {450UL, 675UL, 900UL, 1000UL, 1125UL, 1800UL,
+                              2250UL}) {
+    sizes.push_back(n);
+  }
+  dsp::PlanCache cache;
+  for (const std::size_t n : sizes) {
+    dsp::FftPlan& plan = cache.get(n);
+    const double slack = runs_stockham(n) ? 1.0 : 2.0;
+
+    const auto x = random_complex_signal(n, static_cast<unsigned>(n) + 140000);
+    const auto ref = dft_long_double(x);
+    std::vector<dsp::Cplx> planned(n);
+    plan.forward(x, planned);
+    EXPECT_LE(max_error_vs(planned, ref),
+              slack * max_error_vs(fft_unplanned(x), ref))
+        << "complex n=" << n;
+
+    const auto r = random_real_signal(n, static_cast<unsigned>(n) + 150000);
+    std::vector<dsp::Cplx> widened(n);
+    for (std::size_t i = 0; i < n; ++i) widened[i] = static_cast<double>(r[i]);
+    const auto ref_real = dft_long_double(widened);
+    std::vector<dsp::Cplx> planned_real(n);
+    plan.forward_real(r, planned_real);
+    EXPECT_LE(max_error_vs(planned_real, ref_real),
+              slack * max_error_vs(fft_real_unplanned(r), ref_real))
+        << "real n=" << n;
+  }
+}
+
 TEST(FftPlanReal, RealPathsMatchLegacy) {
   for (const std::size_t n : {128UL, 900UL, 257UL}) {
     const auto x = random_real_signal(n, static_cast<unsigned>(n) + 100);
@@ -127,9 +194,10 @@ TEST(FftPlanReal, RealPathsMatchLegacy) {
   }
 }
 
-// The packed half-size real path (even n), the real-specialized Bluestein
-// (odd n), and the trivial n=1 path must all agree with the legacy
-// widen-to-complex implementation across a dense small-size sweep plus the
+// The packed half-size real path (even n), the widened Stockham path (odd
+// 5-smooth n), the real-specialized Bluestein (other odd n), and the
+// trivial n=1 path must all agree with the legacy widen-to-complex
+// implementation across a dense small-size sweep plus the
 // pipeline/prime/power-of-two sizes.
 TEST(FftPlanReal, FastPathMatchesUnplannedSweep) {
   dsp::PlanCache cache;

@@ -285,6 +285,85 @@ TEST(SimdKernels, Radix4FirstPassMatchesTwoRadix2Stages) {
   }
 }
 
+namespace {
+
+/// Scalar reference for one radix-R Stockham stage, written from the
+/// definition: legs at b*l + k + r*l*m, twiddles at (r-1)*l + k, an R-point
+/// DFT summed directly over exp(-2*pi*i*j*q/R), outputs at b*l*R + k + q*l.
+/// Buffers start at element offset `off`.
+void reference_stockham(std::vector<double>& out, const std::vector<double>& in,
+                        const std::vector<double>& tw, std::size_t radix,
+                        std::size_t l, std::size_t m, std::size_t off) {
+  const double pi = std::acos(-1.0);
+  for (std::size_t b = 0; b < m; ++b) {
+    for (std::size_t k = 0; k < l; ++k) {
+      std::vector<Cplx> legs(radix);
+      for (std::size_t r = 0; r < radix; ++r) {
+        const std::size_t i = 2 * (off + b * l + k + r * l * m);
+        legs[r] = Cplx(in[i], in[i + 1]);
+        if (r > 0) {
+          const std::size_t t = 2 * ((r - 1) * l + k);
+          legs[r] *= Cplx(tw[t], tw[t + 1]);
+        }
+      }
+      for (std::size_t q = 0; q < radix; ++q) {
+        Cplx acc(0.0, 0.0);
+        for (std::size_t j = 0; j < radix; ++j) {
+          const double angle = -2.0 * pi * static_cast<double>((j * q) % radix) /
+                               static_cast<double>(radix);
+          acc += legs[j] * Cplx(std::cos(angle), std::sin(angle));
+        }
+        const std::size_t o = 2 * (off + b * l * radix + k + q * l);
+        out[o] = acc.real();
+        out[o + 1] = acc.imag();
+      }
+    }
+  }
+}
+
+template <std::size_t R>
+void check_stockham_stage(const char* what) {
+  // l covers the scalar-only first stage (1), full vector pairs (even l),
+  // one-butterfly odd tails (3, 5, 9, 17) and widths past one 512-bit
+  // register (16, 32); m covers one and several blocks.
+  for (const std::size_t l : {1UL, 2UL, 3UL, 4UL, 5UL, 6UL, 9UL, 16UL, 17UL,
+                              32UL}) {
+    for (const std::size_t m : {1UL, 2UL, 3UL, 5UL}) {
+      const std::size_t n = R * l * m;
+      for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+        const auto in = random_doubles(2 * (n + off),
+                                       static_cast<unsigned>(n * R + off));
+        const auto tw = random_doubles(2 * (R - 1) * l,
+                                       static_cast<unsigned>(l) + 400);
+        std::vector<double> got(2 * (n + off), 0.0);
+        simd::stockham_stage<R>(got.data() + 2 * off, in.data() + 2 * off,
+                                tw.data(), l, m);
+        std::vector<double> want(2 * (n + off), 0.0);
+        reference_stockham(want, in, tw, R, l, m, off);
+        expect_close(got, want, what, n, off);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SimdKernels, StockhamRadix2StageMatchesReference) {
+  check_stockham_stage<2>("stockham_stage<2>");
+}
+
+TEST(SimdKernels, StockhamRadix3StageMatchesReference) {
+  check_stockham_stage<3>("stockham_stage<3>");
+}
+
+TEST(SimdKernels, StockhamRadix4StageMatchesReference) {
+  check_stockham_stage<4>("stockham_stage<4>");
+}
+
+TEST(SimdKernels, StockhamRadix5StageMatchesReference) {
+  check_stockham_stage<5>("stockham_stage<5>");
+}
+
 // ---------------------------------------------------------------------------
 // Scoring-chain kernels. These feed the anomaly scorer's batch path, whose
 // outputs must be bit-identical to the incremental streaming path, so the

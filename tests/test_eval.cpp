@@ -2,6 +2,7 @@
 // synthetic data set, and the corpus builder at reduced scale.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -354,4 +355,26 @@ TEST(CorpusCache, StaleFileForDifferentConfigMisses) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   EXPECT_FALSE(eval::load_corpus(truncated, cfg).has_value());
+}
+
+// A file written under an older format version must miss, even when its
+// config fingerprint matches: featurize output changes numerically between
+// versions (version 1 patterns came from the Bluestein 900-point transform).
+TEST(CorpusCache, OldFormatVersionIsRefused) {
+  const dynriver::testsupport::ScopedTempDir tmp("corpus-cache-version");
+  eval::BuildConfig cfg;
+  cfg.corpus_scale = 0.05;
+  cfg.seed = 99;
+  const auto path = eval::corpus_cache_path(tmp.path(), cfg);
+  ASSERT_TRUE(eval::save_corpus(path, cfg, eval::build_corpus(cfg)));
+  ASSERT_TRUE(eval::load_corpus(path, cfg).has_value());
+
+  // The header is magic (4 bytes), then the native-endian u32 version.
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint32_t old_version = 1;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&old_version), sizeof old_version);
+  }
+  EXPECT_FALSE(eval::load_corpus(path, cfg).has_value());
 }
