@@ -201,4 +201,31 @@ synth::ClipRecording record_station_clip(
   return station.record_clip(singers);
 }
 
+std::vector<river::Ensemble> ensembles_from_records(
+    const std::vector<river::Record>& records) {
+  std::vector<river::Ensemble> out;
+  bool in_ensemble = false;
+  river::Ensemble current;
+  for (const auto& rec : records) {
+    if (rec.type == river::RecordType::kOpenScope &&
+        rec.scope_type == river::kScopeEnsemble) {
+      in_ensemble = true;
+      current.start_sample = static_cast<std::size_t>(
+          rec.attr_int(river::kAttrStartSample, -1));
+      current.samples.clear();
+    } else if ((rec.type == river::RecordType::kCloseScope ||
+                rec.type == river::RecordType::kBadCloseScope) &&
+               rec.scope_type == river::kScopeEnsemble) {
+      in_ensemble = false;
+      out.push_back(std::move(current));
+      current = {};
+    } else if (in_ensemble && rec.type == river::RecordType::kData &&
+               rec.subtype == river::kSubtypeAudio && rec.is_float()) {
+      const auto f = rec.floats();
+      current.samples.insert(current.samples.end(), f.begin(), f.end());
+    }
+  }
+  return out;
+}
+
 }  // namespace dynriver::testsupport

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "river/record.hpp"
+#include "river/sample_io.hpp"
 #include "synth/station.hpp"
 
 namespace dynriver::testsupport {
@@ -143,5 +145,14 @@ std::vector<float> periodic_with_anomaly(std::size_t n, std::size_t period,
 synth::ClipRecording record_station_clip(
     std::uint64_t seed, const std::vector<synth::SpeciesId>& singers,
     double distractor_probability = 0.0);
+
+// ---------------------------------------------------------------------------
+// Operator-pipeline output
+// ---------------------------------------------------------------------------
+
+/// Reconstruct the ensembles from a cutter-stage record stream: the audio
+/// data records inside each ensemble scope, concatenated.
+std::vector<river::Ensemble> ensembles_from_records(
+    const std::vector<river::Record>& records);
 
 }  // namespace dynriver::testsupport

@@ -339,34 +339,6 @@ TEST(FullPipeline, EnsembleAttrsCarryProvenance) {
 
 namespace {
 
-/// Reconstruct the ensembles from a cutter-stage record stream.
-std::vector<river::Ensemble> ensembles_from_records(
-    const std::vector<Record>& records) {
-  std::vector<river::Ensemble> out;
-  bool in_ensemble = false;
-  river::Ensemble current;
-  for (const auto& rec : records) {
-    if (rec.type == RecordType::kOpenScope &&
-        rec.scope_type == river::kScopeEnsemble) {
-      in_ensemble = true;
-      current.start_sample = static_cast<std::size_t>(
-          rec.attr_int(core::kAttrStartSample, -1));
-      current.samples.clear();
-    } else if ((rec.type == RecordType::kCloseScope ||
-                rec.type == RecordType::kBadCloseScope) &&
-               rec.scope_type == river::kScopeEnsemble) {
-      in_ensemble = false;
-      out.push_back(std::move(current));
-      current = {};
-    } else if (in_ensemble && rec.type == RecordType::kData &&
-               rec.subtype == river::kSubtypeAudio && rec.is_float()) {
-      const auto f = rec.floats();
-      current.samples.insert(current.samples.end(), f.begin(), f.end());
-    }
-  }
-  return out;
-}
-
 /// Run saxanomaly -> trigger -> cutter over `xs` recordized at
 /// `record_size`, and compare the resulting ensembles bit-identically
 /// against a StreamSession fed the same signal.
@@ -379,7 +351,7 @@ void expect_operator_matches_session(const core::PipelineParams& params,
   auto pipeline = core::make_extraction_pipeline(params);
   const auto records = river::run_pipeline(
       pipeline, core::clip_to_records(clip, 0, record_size));
-  const auto got = ensembles_from_records(records);
+  const auto got = dynriver::testsupport::ensembles_from_records(records);
 
   core::StreamSession session(params);
   session.push(xs);
