@@ -41,6 +41,13 @@ tier-1 ctest `repo_lint`, so `ctest -L tier1` fails on a violation. Checks:
                             `static_cast<std::size_t>` casts are banned
                             there (lines carrying `constexpr` or a
                             `checked::` call are the sanctioned spellings).
+  9. one-session-loop       in src/, the cutter's bulk entry `step_run(`
+                            appears only in core/stream_cutter.{hpp,cpp} and
+                            core/stream_session.cpp: MultiStreamSession's
+                            loop is the one scorer -> fusion -> trigger ->
+                            cutter loop (StreamSession is its C = 1 case),
+                            so a second copy of it fails here, not in
+                            review.
 """
 
 from __future__ import annotations
@@ -282,6 +289,28 @@ class Linter:
                                   "route it through common/checked.hpp "
                                   "(checked::add/mul/narrow)")
 
+    # -- 9. one streaming extraction loop ------------------------------------
+
+    SESSION_LOOP_FILES = (
+        "src/core/stream_cutter.hpp",
+        "src/core/stream_cutter.cpp",
+        "src/core/stream_session.cpp",
+    )
+
+    def check_session_loop(self) -> None:
+        allowed = {self.root / rel for rel in self.SESSION_LOOP_FILES}
+        call = re.compile(r"\bstep_run\s*\(")
+        for path in cxx_files(self.root, dirs=("src",)):
+            if path in allowed:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if call.search(strip_line_comment(line)):
+                    self.fail(path, lineno, "one-session-loop",
+                              "StreamCutter::step_run outside the session "
+                              "loop: extend MultiStreamSession "
+                              "(core/stream_session.cpp) instead of adding "
+                              "a second scorer -> trigger -> cutter loop")
+
     def run(self) -> int:
         self.check_cmake_targets()
         self.check_rng()
@@ -291,6 +320,7 @@ class Linter:
         self.check_tsan_supp()
         self.check_fuzz_registration()
         self.check_size_arithmetic()
+        self.check_session_loop()
         for err in self.errors:
             print(err, file=sys.stderr)
         if self.errors:

@@ -19,7 +19,7 @@ MultiExtractionResult MultiStreamExtractor::extract(
   // one scorer per channel in lockstep, block-batched through the dsp::simd
   // kernels, so archive-scale clips never materialize score buffers.
   DR_EXPECTS(!streams.empty());
-  StreamSession::Options options;
+  SessionOptions options;
   if (keep_signals) options.tap_capacity = SignalTap::kUnbounded;
   MultiStreamSession session(params_, streams.size(), std::move(options),
                              features_.engine());
@@ -33,10 +33,15 @@ MultiExtractionResult MultiStreamExtractor::extract(
 
 std::vector<std::vector<std::vector<float>>> MultiStreamExtractor::featurize(
     const MultiEnsemble& ensemble) const {
+  return detail::featurize_channels(features_, ensemble);
+}
+
+std::vector<std::vector<std::vector<float>>> detail::featurize_channels(
+    const FeatureExtractor& features, const MultiEnsemble& ensemble) {
   std::vector<std::vector<std::vector<float>>> out;
   out.reserve(ensemble.channel_samples.size());
   for (const auto& channel : ensemble.channel_samples) {
-    out.push_back(features_.patterns(channel));
+    out.push_back(features.patterns(channel));
   }
   return out;
 }

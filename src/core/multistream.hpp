@@ -82,6 +82,14 @@ class MultiStreamExtractor {
   FeatureExtractor features_;  ///< shares the engine; powers featurize()
 };
 
+namespace detail {
+/// Spectral patterns per channel of one multi-ensemble through `features`:
+/// result[s] holds channel s's patterns. The one body behind
+/// MultiStreamExtractor::featurize and MultiStreamSession::featurize.
+[[nodiscard]] std::vector<std::vector<std::vector<float>>> featurize_channels(
+    const FeatureExtractor& features, const MultiEnsemble& ensemble);
+}  // namespace detail
+
 /// Append context readings to a feature pattern. Context values are scaled
 /// by `context_gain` relative to the pattern's RMS so the side channel
 /// informs rather than dominates the Euclidean distance.

@@ -3,9 +3,10 @@
 // detail::StreamCutter runs the trigger-run -> gap-merge -> length-floor
 // state machine over C synchronized channels, buffering only the open
 // ensemble and the merge-gap lookahead. It is the single implementation of
-// the paper's cutter semantics: StreamSession (C = 1), MultiStreamSession,
-// and the river operator CutterOp all delegate to it, so the operator path
-// and the sessions cannot diverge (tests/test_core_ops.cpp proves them
+// the paper's cutter semantics: the sessions' one extraction loop
+// (MultiStreamSession; StreamSession is its C = 1 case) and the river
+// operator CutterOp both delegate to it, so the operator path and the
+// sessions cannot diverge (tests/test_core_ops.cpp proves them
 // bit-identical under every chunking).
 #pragma once
 
@@ -27,7 +28,7 @@ class StreamCutter {
   /// Feed one frame: the trigger value plus one sample per channel
   /// (`frame[c]`, c < channels). Header-inline so the per-sample fast path
   /// (background sample, nothing open: two branches) fuses into the
-  /// sessions' scoring loops; the triggered/pending paths are outlined.
+  /// caller's loop; the triggered/pending paths are outlined.
   void step(bool trig, const float* frame) {
     const std::size_t i = pos_++;
     if (trig) {
@@ -54,7 +55,7 @@ class StreamCutter {
   /// merge gap grow by bulk range inserts instead of per-sample push_back,
   /// which is what keeps batch extraction at range-slicing speed: trigger
   /// runs are thousands of samples long, so callers flush per *run*, not
-  /// per sample (see StreamSession::push).
+  /// per sample (see MultiStreamSession::push).
   void step_run(bool trig, const float* const* channels, std::size_t offset,
                 std::size_t len);
 
@@ -68,7 +69,7 @@ class StreamCutter {
   [[nodiscard]] bool idle() const { return !cutting_ && !pending_; }
 
   /// Re-parameterize the automaton. Callers re-tuning a live stream should
-  /// wait for idle() (StreamSession::reconfigure does); changing bounds
+  /// wait for idle() (MultiStreamSession::reconfigure does); changing bounds
   /// mid-ensemble legally applies the new values to the open decision.
   void set_bounds(std::size_t merge_gap_samples,
                   std::size_t min_ensemble_samples) {

@@ -41,89 +41,6 @@ std::vector<std::uint8_t> SignalTap::trigger() const {
   return unroll_ring(trigger_, head_);
 }
 
-// ---------------------------------------------------------------------------
-// StreamSession
-// ---------------------------------------------------------------------------
-
-StreamSession::StreamSession(PipelineParams params, Options options,
-                             std::shared_ptr<const SpectralEngine> engine)
-    : params_(params),
-      options_(std::move(options)),
-      features_(params, std::move(engine)),
-      scorer_(params.anomaly),
-      trigger_(params.trigger_sigma, params.trigger_min_baseline,
-               params.trigger_hold_samples),
-      cutter_(1, params.merge_gap_samples, params.min_ensemble_samples),
-      tap_(options_.tap_capacity) {
-  params_.validate();
-}
-
-namespace {
-/// Samples scored per batched block inside the sessions' push loops: large
-/// enough to amortize the scorer's batch entry (whole energy frames, one
-/// push_run per frame), small enough that the score scratch stays cache-hot
-/// (32 KiB of doubles) next to the input block.
-constexpr std::size_t kScoreBlock = 4096;
-}  // namespace
-
-std::size_t StreamSession::push(std::span<const float> samples) {
-  if (pending_params_) return push_reconfiguring(samples);
-  const bool tapped = tap_.enabled();
-  const bool observed = static_cast<bool>(options_.on_signal);
-  // The scorer runs block-batched (whole energy frames fold through the
-  // dsp::simd kernels — bit-identical to per-sample pushes); the
-  // trigger/tap loop then accumulates runs of equal trigger value over the
-  // block's scores and hands each run to the cutter in one bulk call:
-  // trigger runs are thousands of samples long, so the cutter's per-sample
-  // bookkeeping vanishes and ensemble/gap buffers grow by range inserts.
-  const float* data = samples.data();
-  const std::size_t n = samples.size();
-  if (score_block_.empty()) score_block_.resize(kScoreBlock);
-  double* const scores = score_block_.data();
-  bool run_trig = false;
-  std::size_t run_start = 0;
-  for (std::size_t base = 0; base < n; base += kScoreBlock) {
-    const std::size_t m = std::min(kScoreBlock, n - base);
-    scorer_.push_batch(data + base, m, scores);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t i = base + j;
-      const double score = scores[j];
-      const bool trig = trigger_.push(score);
-      if (tapped) tap_.push(static_cast<float>(score), trig);
-      if (observed) {
-        options_.on_signal(consumed_ + i, static_cast<float>(score), trig);
-      }
-      if (trig != run_trig) {
-        cutter_.step_run(run_trig, &data, run_start, i - run_start);
-        run_trig = trig;
-        run_start = i;
-      }
-    }
-  }
-  if (n > 0) cutter_.step_run(run_trig, &data, run_start, n - run_start);
-  consumed_ += n;
-  return cutter_.ready();
-}
-
-// Slow-path twin of push(): scans for the first safe boundary sample by
-// sample, applies the pending parameters there, and continues. Kept out of
-// push() so a session that is not mid-reconfigure pays zero extra branches
-// per sample.
-std::size_t StreamSession::push_reconfiguring(std::span<const float> samples) {
-  const bool tapped = tap_.enabled();
-  const bool observed = static_cast<bool>(options_.on_signal);
-  for (const float x : samples) {
-    if (pending_params_ && cutter_.idle()) apply_reconfigure();
-    const double score = scorer_.push(x);
-    const bool trig = trigger_.push(score);
-    if (tapped) tap_.push(static_cast<float>(score), trig);
-    if (observed) options_.on_signal(consumed_, static_cast<float>(score), trig);
-    cutter_.step(trig, &x);
-    ++consumed_;
-  }
-  return cutter_.ready();
-}
-
 bool reconfigure_compatible(const PipelineParams& a, const PipelineParams& b) {
   return a.sample_rate == b.sample_rate && a.record_size == b.record_size &&
          a.anomaly == b.anomaly && a.reslice == b.reslice &&
@@ -134,64 +51,13 @@ bool reconfigure_compatible(const PipelineParams& a, const PipelineParams& b) {
          a.pattern_stride == b.pattern_stride;
 }
 
-void StreamSession::reconfigure(const PipelineParams& params) {
-  params.validate();
-  DR_EXPECTS(reconfigure_compatible(params, params_));
-  pending_params_ = params;
-  // Between ensembles the new rules can start this very instant; otherwise
-  // the in-flight ensemble finishes under the old rules first.
-  if (cutter_.idle()) apply_reconfigure();
-}
-
-void StreamSession::apply_reconfigure() {
-  const PipelineParams& p = *pending_params_;
-  // The trigger keeps its baseline statistics (mu0/sigma0 survive the
-  // re-tune); only the decision thresholds change.
-  trigger_.set_thresholding(p.trigger_sigma, p.trigger_min_baseline,
-                            p.trigger_hold_samples);
-  cutter_.set_bounds(p.merge_gap_samples, p.min_ensemble_samples);
-  params_ = p;
-  pending_params_.reset();
-}
-
-std::vector<river::Ensemble> StreamSession::drain() {
-  std::vector<river::Ensemble> out;
-  while (auto cut = cutter_.pop()) {
-    out.push_back(river::Ensemble{cut->start_sample,
-                                  std::move(cut->channels.front())});
-  }
-  return out;
-}
-
-std::vector<river::Ensemble> StreamSession::finish() {
-  cutter_.finish();
-  // End of stream decides the in-flight ensemble under the old rules; a
-  // still-pending reconfigure lands now that the automaton is idle.
-  if (pending_params_) apply_reconfigure();
-  return drain();
-}
-
-void StreamSession::reset() {
-  scorer_.reset();
-  trigger_.reset();
-  cutter_.reset();
-  tap_.reset();
-  consumed_ = 0;
-  if (pending_params_) apply_reconfigure();
-}
-
-std::vector<std::vector<float>> StreamSession::featurize(
-    const river::Ensemble& ensemble) const {
-  return features_.patterns(ensemble.samples);
-}
-
 // ---------------------------------------------------------------------------
 // MultiStreamSession
 // ---------------------------------------------------------------------------
 
 MultiStreamSession::MultiStreamSession(
-    MultiStreamParams params, std::size_t channels,
-    StreamSession::Options options, std::shared_ptr<const SpectralEngine> engine)
+    MultiStreamParams params, std::size_t channels, SessionOptions options,
+    std::shared_ptr<const SpectralEngine> engine)
     : params_(std::move(params)),
       options_(std::move(options)),
       features_(params_.base, std::move(engine)),
@@ -199,7 +65,9 @@ MultiStreamSession::MultiStreamSession(
                params_.base.trigger_hold_samples),
       cutter_(channels, params_.base.merge_gap_samples,
               params_.base.min_ensemble_samples),
-      tap_(options_.tap_capacity) {
+      tap_(options_.tap_capacity),
+      channel_data_(channels),
+      score_data_(channels) {
   DR_EXPECTS(channels >= 1);
   params_.base.validate();
   scorers_.reserve(channels);
@@ -208,25 +76,54 @@ MultiStreamSession::MultiStreamSession(
   }
 }
 
+namespace {
+/// Samples scored per batched block inside the extraction loop: large
+/// enough to amortize the scorer's batch entry (whole energy frames, one
+/// push_run per frame), small enough that the score scratch stays cache-hot
+/// (32 KiB of doubles per channel) next to the input block.
+constexpr std::size_t kScoreBlock = 4096;
+}  // namespace
+
 std::size_t MultiStreamSession::push(
     std::span<const std::span<const float>> chunks) {
   DR_EXPECTS(chunks.size() == channels());
-  const std::size_t n = chunks.empty() ? 0 : chunks.front().size();
+  const std::size_t n = chunks.front().size();
   for (const auto& chunk : chunks) DR_EXPECTS(chunk.size() == n);
 
+  // A pending reconfigure lands at the first frame boundary where the
+  // cutter is idle: until then the loop advances one frame at a time, so
+  // the in-flight ensemble's fate is decided under the old rules. Sessions
+  // that are not mid-reconfigure take the bulk call straight away.
+  std::size_t done = 0;
+  while (pending_params_ && done < n) {
+    if (cutter_.idle()) {
+      apply_reconfigure();
+    } else {
+      extract_frames(chunks, done++, 1);
+    }
+  }
+  extract_frames(chunks, done, n - done);
+  return cutter_.ready();
+}
+
+void MultiStreamSession::extract_frames(
+    std::span<const std::span<const float>> chunks, std::size_t offset,
+    std::size_t n) {
+  if (n == 0) return;
   // Each channel's scorer runs block-batched into its slice of the shared
-  // scratch (bit-identical to per-sample lockstep pushes — the scorers are
-  // independent automata); fusion, trigger and cutter then consume the
-  // block. Memory stays O(channels * block) for any chunk size.
+  // scratch (whole energy frames fold through the dsp::simd kernels —
+  // bit-identical to per-sample pushes, and the scorers are independent
+  // automata); fusion, trigger and cutter then consume the block. Memory
+  // stays O(channels * block) for any chunk size.
   const std::size_t ch = channels();
-  channel_data_.resize(ch);
-  score_data_.resize(ch);
-  if (score_block_.size() < ch * kScoreBlock) {
+  if (score_block_.empty()) {
     score_block_.resize(ch * kScoreBlock);
+    for (std::size_t c = 0; c < ch; ++c) {
+      score_data_[c] = score_block_.data() + c * kScoreBlock;
+    }
   }
   for (std::size_t c = 0; c < ch; ++c) {
-    channel_data_[c] = chunks[c].data();
-    score_data_[c] = score_block_.data() + c * kScoreBlock;
+    channel_data_[c] = chunks[c].data() + offset;
   }
   const float* const* data = channel_data_.data();
   const double* const* scores = score_data_.data();
@@ -234,8 +131,8 @@ std::size_t MultiStreamSession::push(
   // Observer flags are hoisted; the cutter is fed whole trigger runs in bulk
   // (trigger runs are thousands of samples long, so its per-sample branches
   // never run here). `run_trig`/`run_start` carry the open trigger run
-  // across blocks (absolute indices into `data`).
-  const bool slow_path = tap_.enabled() || options_.on_signal != nullptr;
+  // across blocks (indices relative to `data`).
+  const bool observed = tap_.enabled() || options_.on_signal != nullptr;
   const bool fuse_max = params_.fusion == ScoreFusion::kMax;
 
   bool run_trig = false;
@@ -250,20 +147,21 @@ std::size_t MultiStreamSession::push(
     // separate SIMD max/mean pass over the block was measured slower — the
     // extra fused-score buffer traffic does not overlap anything, while
     // these few scalar ops hide entirely under the trigger's serial Welford
-    // chain. Channels are read in fixed order.
+    // chain. The fold is seeded from channel 0 and reads channels 1..C-1 in
+    // fixed order, so at C = 1 the fused score is the channel's own score.
     for (std::size_t j = 0; j < m; ++j) {
       const std::size_t i = base + j;
-      double fused = 0.0;
+      double fused = scores[0][j];
       if (fuse_max) {
-        for (std::size_t c = 0; c < ch; ++c) {
+        for (std::size_t c = 1; c < ch; ++c) {
           fused = std::max(fused, scores[c][j]);
         }
       } else {
-        for (std::size_t c = 0; c < ch; ++c) fused += scores[c][j];
+        for (std::size_t c = 1; c < ch; ++c) fused += scores[c][j];
         fused /= static_cast<double>(ch);
       }
       const bool trig = trigger_.push(fused);
-      if (slow_path) {
+      if (observed) {
         if (tap_.enabled()) tap_.push(static_cast<float>(fused), trig);
         if (options_.on_signal) {
           options_.on_signal(consumed_ + i, static_cast<float>(fused), trig);
@@ -276,9 +174,28 @@ std::size_t MultiStreamSession::push(
       }
     }
   }
-  if (n > 0) cutter_.step_run(run_trig, data, run_start, n - run_start);
+  cutter_.step_run(run_trig, data, run_start, n - run_start);
   consumed_ += n;
-  return cutter_.ready();
+}
+
+void MultiStreamSession::reconfigure(const PipelineParams& params) {
+  params.validate();
+  DR_EXPECTS(reconfigure_compatible(params, params_.base));
+  pending_params_ = params;
+  // Between ensembles the new rules can start this very instant; otherwise
+  // the in-flight ensemble finishes under the old rules first.
+  if (cutter_.idle()) apply_reconfigure();
+}
+
+void MultiStreamSession::apply_reconfigure() {
+  const PipelineParams& p = *pending_params_;
+  // The trigger keeps its baseline statistics (mu0/sigma0 survive the
+  // re-tune); only the decision thresholds change.
+  trigger_.set_thresholding(p.trigger_sigma, p.trigger_min_baseline,
+                            p.trigger_hold_samples);
+  cutter_.set_bounds(p.merge_gap_samples, p.min_ensemble_samples);
+  params_.base = p;
+  pending_params_.reset();
 }
 
 std::vector<MultiEnsemble> MultiStreamSession::drain() {
@@ -295,6 +212,9 @@ std::vector<MultiEnsemble> MultiStreamSession::drain() {
 
 std::vector<MultiEnsemble> MultiStreamSession::finish() {
   cutter_.finish();
+  // End of stream decides the in-flight ensemble under the old rules; a
+  // still-pending reconfigure lands now that the automaton is idle.
+  if (pending_params_) apply_reconfigure();
   return drain();
 }
 
@@ -304,14 +224,30 @@ void MultiStreamSession::reset() {
   cutter_.reset();
   tap_.reset();
   consumed_ = 0;
+  if (pending_params_) apply_reconfigure();
 }
 
 std::vector<std::vector<std::vector<float>>> MultiStreamSession::featurize(
     const MultiEnsemble& ensemble) const {
-  std::vector<std::vector<std::vector<float>>> out;
-  out.reserve(ensemble.channel_samples.size());
-  for (const auto& channel : ensemble.channel_samples) {
-    out.push_back(features_.patterns(channel));
+  return detail::featurize_channels(features_, ensemble);
+}
+
+// ---------------------------------------------------------------------------
+// StreamSession
+// ---------------------------------------------------------------------------
+
+StreamSession::StreamSession(PipelineParams params, Options options,
+                             std::shared_ptr<const SpectralEngine> engine)
+    : session_(MultiStreamParams{std::move(params), ScoreFusion::kMax}, 1,
+               std::move(options), std::move(engine)) {}
+
+std::vector<river::Ensemble> StreamSession::single_channel(
+    std::vector<MultiEnsemble> ensembles) {
+  std::vector<river::Ensemble> out;
+  out.reserve(ensembles.size());
+  for (auto& e : ensembles) {
+    out.push_back(river::Ensemble{e.start_sample,
+                                  std::move(e.channel_samples.front())});
   }
   return out;
 }

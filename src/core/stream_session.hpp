@@ -1,17 +1,23 @@
 // Push-based streaming extraction sessions.
 //
-// StreamSession runs the znorm/SAX/bitmap/trigger/cutter automaton
-// incrementally: push() accepts any chunking of the signal — whole clip,
+// MultiStreamSession runs the znorm/SAX/bitmap/trigger/cutter automaton
+// incrementally over C synchronized channels: one scorer per channel, the
+// smoothed scores fused in fixed channel order, one shared trigger and
+// cutter. push() accepts any chunking of the signal — whole clip,
 // record-size blocks, single samples — and completed ensembles become
 // available the moment their trigger closes (plus the merge-gap lookahead).
-// Memory is bounded by O(anomaly window + open ensemble + merge gap), never
-// O(stream), so days of audio stream through a fixed footprint.
+// Memory is bounded by O(anomaly window + open ensemble + merge gap) per
+// channel, never O(stream), so days of audio stream through a fixed
+// footprint.
+//
+// StreamSession is the paper's single-signal session: a MultiStreamSession
+// with C = 1, whose fused score is the channel's own score bit for bit. Its
+// push() and drain() only adapt the one-channel spans and ensembles.
 //
 // Contract: for every chunking, the ensembles, scores, and trigger series
-// are bit-identical to the batch facade — EnsembleExtractor::extract is
-// itself a thin wrapper over a session (tests/test_core_stream.cpp sweeps
-// chunk sizes including 1). MultiStreamSession is the multi-channel
-// counterpart behind MultiStreamExtractor.
+// are bit-identical to the batch facades — EnsembleExtractor::extract and
+// MultiStreamExtractor::extract are themselves thin wrappers over sessions
+// (tests/test_core_stream.cpp sweeps chunk sizes including 1).
 #pragma once
 
 #include <functional>
@@ -79,7 +85,7 @@ class SignalTap {
 
 /// True when `a` and `b` differ only in the trigger/cutter decision
 /// parameters (sigma, baseline, hold, merge gap, length floor) — the
-/// precondition of StreamSession::reconfigure. Everything upstream of the
+/// precondition of MultiStreamSession::reconfigure. Everything upstream of the
 /// trigger (scoring) and downstream of the cutter (spectral featurization)
 /// is immutable for the life of a session.
 [[nodiscard]] bool reconfigure_compatible(const PipelineParams& a,
@@ -95,35 +101,40 @@ struct SessionOptions {
   std::function<void(std::size_t, float, bool)> on_signal;
 };
 
-/// Single-signal streaming extraction session.
-class StreamSession {
+/// Multi-channel streaming extraction session: one scorer per synchronized
+/// stream, fused score (max/mean in fixed channel order), one shared trigger
+/// and cutter — identical boundaries across channels (see
+/// core/multistream.hpp).
+class MultiStreamSession {
  public:
-  using Options = SessionOptions;
-
   /// `engine` lets the session share one SpectralEngine with other spectral
-  /// consumers; nullptr builds a private engine from `params`.
-  explicit StreamSession(PipelineParams params, Options options = {},
-                         std::shared_ptr<const SpectralEngine> engine = nullptr);
+  /// consumers; nullptr builds a private engine from `params.base`.
+  explicit MultiStreamSession(
+      MultiStreamParams params, std::size_t channels,
+      SessionOptions options = {},
+      std::shared_ptr<const SpectralEngine> engine = nullptr);
 
-  /// Push the next chunk of the stream (any size, including 1 sample).
-  /// Returns the number of completed ensembles now waiting in drain().
-  std::size_t push(std::span<const float> samples);
+  /// Push the next chunk of every channel (chunks.size() == channels(),
+  /// all the same length, any length including 1). Returns the number of
+  /// completed ensembles now waiting in drain().
+  std::size_t push(std::span<const std::span<const float>> chunks);
 
   /// Move out the completed ensembles, oldest first.
-  [[nodiscard]] std::vector<river::Ensemble> drain();
+  [[nodiscard]] std::vector<MultiEnsemble> drain();
 
   /// End of stream: closes the open run, decides the pending ensemble, and
   /// returns every remaining ensemble (earlier undrained ones included).
-  [[nodiscard]] std::vector<river::Ensemble> finish();
+  [[nodiscard]] std::vector<MultiEnsemble> finish();
 
   /// Restart for a new stream: extraction state, taps, and counters clear;
   /// the engine, plans, and window tables are reused.
   void reset();
 
   /// Live re-parameterization: adopt new trigger / merge-gap / length-floor
-  /// parameters without restarting the stream. The scorer and spectral
-  /// configuration (sample rate, anomaly params, DFT/pattern settings) must
-  /// be unchanged — swapping those would discard the warmed automata.
+  /// parameters for every channel without restarting the stream. The scorer
+  /// and spectral configuration (sample rate, anomaly params, DFT/pattern
+  /// settings) must be unchanged — swapping those would discard the warmed
+  /// automata — and the fusion rule stays fixed.
   ///
   /// The new parameters take effect at the next safe automaton boundary:
   /// immediately when the cutter is idle (no open or pending ensemble),
@@ -139,78 +150,36 @@ class StreamSession {
     return pending_params_.has_value();
   }
 
-  /// Spectral patterns of one extracted ensemble through the shared engine.
-  [[nodiscard]] std::vector<std::vector<float>> featurize(
-      const river::Ensemble& ensemble) const;
-
-  [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
-  /// Samples currently buffered inside the session (open ensemble + merge
-  /// gap + undrained ensembles). Bounded for any stream length.
-  [[nodiscard]] std::size_t buffered_samples() const {
-    return cutter_.buffered_samples();
-  }
-  [[nodiscard]] const SignalTap& tap() const { return tap_; }
-  [[nodiscard]] const PipelineParams& params() const { return params_; }
-  [[nodiscard]] const std::shared_ptr<const SpectralEngine>& engine() const {
-    return features_.engine();
-  }
-
- private:
-  std::size_t push_reconfiguring(std::span<const float> samples);
-  void apply_reconfigure();
-
-  PipelineParams params_;
-  Options options_;
-  FeatureExtractor features_;  ///< shares the engine; powers featurize()
-  ts::StreamingAnomalyScorer scorer_;
-  TriggerState trigger_;
-  detail::StreamCutter cutter_;
-  SignalTap tap_;
-  std::size_t consumed_ = 0;
-  /// Fixed-size scratch for the scorer's batched scores: push() scores one
-  /// cache-hot block at a time, so memory stays O(block), not O(chunk).
-  std::vector<double> score_block_;
-  /// Parameters adopted at the next ensemble boundary (live reconfigure).
-  std::optional<PipelineParams> pending_params_;
-};
-
-/// Multi-channel counterpart: one scorer per synchronized stream, fused
-/// score (max/mean in fixed channel order), one shared trigger and cutter —
-/// identical boundaries across channels (see core/multistream.hpp).
-class MultiStreamSession {
- public:
-  explicit MultiStreamSession(
-      MultiStreamParams params, std::size_t channels,
-      StreamSession::Options options = {},
-      std::shared_ptr<const SpectralEngine> engine = nullptr);
-
-  /// Push the next chunk of every channel (chunks.size() == channels(),
-  /// all the same length). Returns completed ensembles waiting in drain().
-  std::size_t push(std::span<const std::span<const float>> chunks);
-
-  [[nodiscard]] std::vector<MultiEnsemble> drain();
-  [[nodiscard]] std::vector<MultiEnsemble> finish();
-  void reset();
-
   /// Per-channel spectral patterns of one multi-ensemble.
   [[nodiscard]] std::vector<std::vector<std::vector<float>>> featurize(
       const MultiEnsemble& ensemble) const;
 
   [[nodiscard]] std::size_t channels() const { return scorers_.size(); }
   [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
+  /// Per-channel samples currently buffered inside the session (open
+  /// ensemble + merge gap + undrained ensembles). Bounded for any stream
+  /// length.
   [[nodiscard]] std::size_t buffered_samples() const {
     return cutter_.buffered_samples();
   }
   [[nodiscard]] const SignalTap& tap() const { return tap_; }
   [[nodiscard]] const MultiStreamParams& params() const { return params_; }
+  /// The spectral front end behind featurize(), on engine().
+  [[nodiscard]] const FeatureExtractor& features() const { return features_; }
   [[nodiscard]] const std::shared_ptr<const SpectralEngine>& engine() const {
     return features_.engine();
   }
 
  private:
+  /// The extraction loop: score, fuse, trigger and cut frames
+  /// [offset, offset + n) of `chunks`.
+  void extract_frames(std::span<const std::span<const float>> chunks,
+                      std::size_t offset, std::size_t n);
+  void apply_reconfigure();
+
   MultiStreamParams params_;
-  StreamSession::Options options_;
-  FeatureExtractor features_;
+  SessionOptions options_;
+  FeatureExtractor features_;  ///< shares the engine; powers featurize()
   std::vector<ts::StreamingAnomalyScorer> scorers_;
   TriggerState trigger_;
   detail::StreamCutter cutter_;
@@ -221,6 +190,63 @@ class MultiStreamSession {
   /// Per-channel scratch blocks for the scorers' batched scores (flat,
   /// channels x block) — push() stays O(channels * block) memory.
   std::vector<double> score_block_;
+  /// Parameters adopted at the next ensemble boundary (live reconfigure).
+  std::optional<PipelineParams> pending_params_;
+};
+
+/// Single-signal streaming extraction session: the C = 1 MultiStreamSession.
+/// Every member forwards to it with the MultiStreamSession meaning; push()
+/// takes the one channel's chunk, drain()/finish() return its ensembles.
+class StreamSession {
+ public:
+  using Options = SessionOptions;
+
+  /// `engine` lets the session share one SpectralEngine with other spectral
+  /// consumers; nullptr builds a private engine from `params`.
+  explicit StreamSession(PipelineParams params, Options options = {},
+                         std::shared_ptr<const SpectralEngine> engine = nullptr);
+
+  std::size_t push(std::span<const float> samples) {
+    const std::span<const float> chunks[] = {samples};
+    return session_.push(chunks);
+  }
+  [[nodiscard]] std::vector<river::Ensemble> drain() {
+    return single_channel(session_.drain());
+  }
+  [[nodiscard]] std::vector<river::Ensemble> finish() {
+    return single_channel(session_.finish());
+  }
+  void reset() { session_.reset(); }
+  void reconfigure(const PipelineParams& params) { session_.reconfigure(params); }
+  [[nodiscard]] bool reconfigure_pending() const {
+    return session_.reconfigure_pending();
+  }
+
+  /// Spectral patterns of one extracted ensemble through the shared engine.
+  [[nodiscard]] std::vector<std::vector<float>> featurize(
+      const river::Ensemble& ensemble) const {
+    return session_.features().patterns(ensemble.samples);
+  }
+
+  [[nodiscard]] std::size_t samples_consumed() const {
+    return session_.samples_consumed();
+  }
+  [[nodiscard]] std::size_t buffered_samples() const {
+    return session_.buffered_samples();
+  }
+  [[nodiscard]] const SignalTap& tap() const { return session_.tap(); }
+  [[nodiscard]] const PipelineParams& params() const {
+    return session_.params().base;
+  }
+  [[nodiscard]] const std::shared_ptr<const SpectralEngine>& engine() const {
+    return session_.engine();
+  }
+
+ private:
+  static std::vector<river::Ensemble> single_channel(
+      std::vector<MultiEnsemble> ensembles);
+
+  MultiStreamSession session_;
 };
 
 /// Pump a source through a session into a sink in `chunk_samples` blocks

@@ -318,13 +318,8 @@ TEST(GoldenExtraction, CrossPathDigestAgrees) {
     }
     EXPECT_EQ(operator_pipeline(xs), want.ensembles)
         << "operator pipeline: ensembles differ";
-    // Ensembles only under max fusion: the fold starts from 0.0, which
-    // clamps the smoothed scores that MovingAverage rounding leaves a few
-    // ULPs below zero (the golden clip has thousands), so the fused tap
-    // differs from the single-stream one while the trigger does not.
-    EXPECT_EQ(multi_session(xs, core::ScoreFusion::kMax).ensembles,
-              want.ensembles)
-        << "1-channel multi-stream session, max fusion: ensembles differ";
+    expect_same(multi_session(xs, core::ScoreFusion::kMax), want,
+                "1-channel multi-stream session, max fusion");
     expect_same(multi_session(xs, core::ScoreFusion::kMean), want,
                 "1-channel multi-stream session, mean fusion");
     expect_same(packed_replay(xs), want, "packed archive replay");

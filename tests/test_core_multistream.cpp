@@ -34,20 +34,40 @@ core::MultiStreamParams default_multi() {
 TEST(MultiStream, SingleStreamMatchesEnsembleExtractor) {
   const auto clip = record_clip(91, {synth::SpeciesId::kNOCA});
   const core::EnsembleExtractor single(core::PipelineParams{});
-  const core::MultiStreamExtractor multi(default_multi());
-
   const auto single_result = single.extract(clip.clip.samples);
-  const std::span<const float> stream(clip.clip.samples);
-  const auto multi_result = multi.extract(std::vector{stream});
+  core::SessionOptions tap_all;
+  tap_all.tap_capacity = core::SignalTap::kUnbounded;
+  core::StreamSession session(core::PipelineParams{}, tap_all);
+  session.push(clip.clip.samples);
+  (void)session.finish();
+  const auto single_scores = session.tap().scores();
 
-  ASSERT_EQ(multi_result.ensembles.size(), single_result.ensembles.size());
-  for (std::size_t i = 0; i < single_result.ensembles.size(); ++i) {
-    EXPECT_EQ(multi_result.ensembles[i].start_sample,
-              single_result.ensembles[i].start_sample);
-    EXPECT_EQ(multi_result.ensembles[i].length,
-              single_result.ensembles[i].length());
-    EXPECT_EQ(multi_result.ensembles[i].channel_samples[0],
-              single_result.ensembles[i].samples);
+  // At one channel the fusion rule is moot: either fold returns the
+  // channel's own score, bit for bit.
+  for (const auto fusion : {core::ScoreFusion::kMax, core::ScoreFusion::kMean}) {
+    SCOPED_TRACE(testing::Message() << "fusion=" << static_cast<int>(fusion));
+    auto params = default_multi();
+    params.fusion = fusion;
+    const core::MultiStreamExtractor multi(params);
+    const std::span<const float> stream(clip.clip.samples);
+    const auto multi_result =
+        multi.extract(std::vector{stream}, /*keep_signals=*/true);
+
+    ASSERT_EQ(multi_result.ensembles.size(), single_result.ensembles.size());
+    for (std::size_t i = 0; i < single_result.ensembles.size(); ++i) {
+      EXPECT_EQ(multi_result.ensembles[i].start_sample,
+                single_result.ensembles[i].start_sample);
+      EXPECT_EQ(multi_result.ensembles[i].length,
+                single_result.ensembles[i].length());
+      EXPECT_EQ(multi_result.ensembles[i].channel_samples[0],
+                single_result.ensembles[i].samples);
+    }
+    ASSERT_EQ(multi_result.fused_scores.size(), single_scores.size());
+    for (std::size_t i = 0; i < single_scores.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(multi_result.fused_scores[i]),
+                std::bit_cast<std::uint32_t>(single_scores[i]))
+          << "sample " << i;
+    }
   }
 }
 

@@ -72,6 +72,39 @@ core::ExtractionResult stream_in_chunks(const core::PipelineParams& params,
   return result;
 }
 
+std::vector<float> perturbed_channel(const std::vector<float>& base,
+                                     unsigned seed) {
+  std::mt19937 gen(seed);
+  std::normal_distribution<float> noise(0.0F, 0.002F);
+  std::vector<float> out(base.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    out[i] = 0.9F * base[i] + noise(gen);
+  }
+  return out;
+}
+
+/// `channels` synchronized streams for the multi-channel reruns of
+/// single-stream tests: `xs` itself, then perturbed copies of it.
+std::vector<std::vector<float>> channel_set(const std::vector<float>& xs,
+                                            std::size_t channels) {
+  std::vector<std::vector<float>> out = {xs};
+  for (std::size_t c = 1; c < channels; ++c) {
+    out.push_back(perturbed_channel(xs, 100 + static_cast<unsigned>(c)));
+  }
+  return out;
+}
+
+/// Push frames [begin, end) of every stream in one call.
+void push_frames(core::MultiStreamSession& session,
+                 const std::vector<std::vector<float>>& streams,
+                 std::size_t begin, std::size_t end) {
+  std::vector<std::span<const float>> chunks;
+  for (const auto& stream : streams) {
+    chunks.push_back(std::span<const float>(stream).subspan(begin, end - begin));
+  }
+  session.push(chunks);
+}
+
 void expect_identical(const core::ExtractionResult& got,
                       const core::ExtractionResult& want, std::size_t chunk) {
   ASSERT_EQ(got.ensembles.size(), want.ensembles.size()) << "chunk=" << chunk;
@@ -332,7 +365,8 @@ TEST(StreamSession, ReconfigureAtQuietBoundaryEqualsRestartWithNewParams) {
   // same as having restarted with the new parameters at that point. With a
   // trigger-quiet prefix (identical scorer + baseline state under either
   // parameter set), that reduces to: session(P1) + reconfigure(P2) after
-  // the prefix == session(P2) from the start — bit-identically.
+  // the prefix == session(P2) from the start — bit-identically. Run at one
+  // channel (StreamSession's session) and at two.
   const auto p1 = small_params();
   auto p2 = p1;
   p2.merge_gap_samples = 1000;
@@ -345,86 +379,86 @@ TEST(StreamSession, ReconfigureAtQuietBoundaryEqualsRestartWithNewParams) {
   const auto events = random_signal_with_events(60000, 52);   // ...then events
   for (std::size_t i = 0; i < events.size(); ++i) xs[kPrefix + i] = events[i];
 
-  // Reference: fresh session under P2 for the whole stream.
-  core::SessionOptions tap_all;
-  tap_all.tap_capacity = core::SignalTap::kUnbounded;
-  core::StreamSession restart(p2, tap_all);
-  restart.push(xs);
-  const auto want = restart.finish();
-  ASSERT_FALSE(want.empty());
-  // Premise: the prefix never triggers (so P1 vs P2 cannot diverge there).
-  const auto trigger = restart.tap().trigger();
-  for (std::size_t i = 0; i < kPrefix; ++i) {
-    ASSERT_EQ(trigger[i], 0) << "prefix must stay quiet at " << i;
-  }
+  for (const std::size_t channels : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "channels=" << channels);
+    const auto streams = channel_set(xs, channels);
 
-  core::StreamSession session(p1);
-  session.push(std::span<const float>(xs.data(), kPrefix));
-  session.reconfigure(p2);
-  // The automaton is between ensembles: the new rules land immediately.
-  EXPECT_FALSE(session.reconfigure_pending());
-  EXPECT_EQ(session.params().merge_gap_samples, p2.merge_gap_samples);
-  session.push(std::span<const float>(xs.data() + kPrefix,
-                                      xs.size() - kPrefix));
-  const auto got = session.finish();
+    // Reference: fresh session under P2 for the whole stream.
+    core::SessionOptions tap_all;
+    tap_all.tap_capacity = core::SignalTap::kUnbounded;
+    core::MultiStreamSession restart({p2, core::ScoreFusion::kMax}, channels,
+                                     tap_all);
+    push_frames(restart, streams, 0, xs.size());
+    const auto want = restart.finish();
+    ASSERT_FALSE(want.empty());
+    // Premise: the prefix never triggers (so P1 vs P2 cannot diverge there).
+    const auto trigger = restart.tap().trigger();
+    for (std::size_t i = 0; i < kPrefix; ++i) {
+      ASSERT_EQ(trigger[i], 0) << "prefix must stay quiet at " << i;
+    }
 
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].start_sample, want[i].start_sample) << i;
-    ASSERT_EQ(got[i].samples, want[i].samples) << i;
+    core::MultiStreamSession session({p1, core::ScoreFusion::kMax}, channels);
+    push_frames(session, streams, 0, kPrefix);
+    session.reconfigure(p2);
+    // The automaton is between ensembles: the new rules land immediately.
+    EXPECT_FALSE(session.reconfigure_pending());
+    EXPECT_EQ(session.params().base.merge_gap_samples, p2.merge_gap_samples);
+    push_frames(session, streams, kPrefix, xs.size());
+    const auto got = session.finish();
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].start_sample, want[i].start_sample) << i;
+      ASSERT_EQ(got[i].channel_samples, want[i].channel_samples) << i;
+    }
   }
 }
 
 TEST(StreamSession, ReconfigureMidEnsembleDefersUntilBoundary) {
   // A reconfigure issued while an ensemble is open must not lose or
   // re-judge it: the in-flight ensemble completes under the old rules, and
-  // the new rules only govern what follows.
+  // the new rules only govern what follows. Run at one channel and at two.
   const auto p1 = small_params();
   const auto xs = random_signal_with_events(60000, 11);
-  const auto want = core::EnsembleExtractor(p1).extract(xs);
-  ASSERT_GE(want.ensembles.size(), 2U);
-
   auto p2 = p1;
   p2.min_ensemble_samples = 50000;  // suppress everything after the boundary
   p2.merge_gap_samples = 500;
-  for (const auto& e : want.ensembles) ASSERT_LT(e.length(), 50000U);
 
-  const auto& first = want.ensembles.front();
-  const std::size_t mid = first.start_sample + first.length() / 2;
-  core::StreamSession session(p1);
-  session.push(std::span<const float>(xs.data(), mid));
-  session.reconfigure(p2);
-  EXPECT_TRUE(session.reconfigure_pending());  // ensemble open: deferred
-  EXPECT_EQ(session.params().min_ensemble_samples, p1.min_ensemble_samples);
-  session.push(std::span<const float>(xs.data() + mid, xs.size() - mid));
-  const auto got = session.finish();
-  EXPECT_FALSE(session.reconfigure_pending());
-  EXPECT_EQ(session.params().min_ensemble_samples, p2.min_ensemble_samples);
+  for (const std::size_t channels : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "channels=" << channels);
+    const auto streams = channel_set(xs, channels);
+    const std::vector<std::span<const float>> spans(streams.begin(),
+                                                    streams.end());
+    const auto want =
+        core::MultiStreamExtractor({p1, core::ScoreFusion::kMax}).extract(spans);
+    ASSERT_GE(want.ensembles.size(), 2U);
+    for (const auto& e : want.ensembles) ASSERT_LT(e.length, 50000U);
 
-  // The open ensemble survived, bit-identically; the new floor ate the rest.
-  ASSERT_EQ(got.size(), 1U);
-  EXPECT_EQ(got.front().start_sample, first.start_sample);
-  ASSERT_EQ(got.front().samples, first.samples);
+    const auto& first = want.ensembles.front();
+    const std::size_t mid = first.start_sample + first.length / 2;
+    core::MultiStreamSession session({p1, core::ScoreFusion::kMax}, channels);
+    push_frames(session, streams, 0, mid);
+    session.reconfigure(p2);
+    EXPECT_TRUE(session.reconfigure_pending());  // ensemble open: deferred
+    EXPECT_EQ(session.params().base.min_ensemble_samples,
+              p1.min_ensemble_samples);
+    push_frames(session, streams, mid, xs.size());
+    const auto got = session.finish();
+    EXPECT_FALSE(session.reconfigure_pending());
+    EXPECT_EQ(session.params().base.min_ensemble_samples,
+              p2.min_ensemble_samples);
+
+    // The open ensemble survived, bit-identically; the new floor ate the
+    // rest.
+    ASSERT_EQ(got.size(), 1U);
+    EXPECT_EQ(got.front().start_sample, first.start_sample);
+    ASSERT_EQ(got.front().channel_samples, first.channel_samples);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // MultiStreamSession
 // ---------------------------------------------------------------------------
-
-namespace {
-
-std::vector<float> perturbed_channel(const std::vector<float>& base,
-                                     unsigned seed) {
-  std::mt19937 gen(seed);
-  std::normal_distribution<float> noise(0.0F, 0.002F);
-  std::vector<float> out(base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    out[i] = 0.9F * base[i] + noise(gen);
-  }
-  return out;
-}
-
-}  // namespace
 
 TEST(MultiStreamSession, ChunkSweepBitIdenticalToMultiExtractor) {
   const auto a = random_signal_with_events(60000, 31);
