@@ -9,8 +9,8 @@
 //
 // The cross-path digest below is exact instead: within one build, every
 // extraction path (live session at any chunking, batch facade, operator
-// pipeline, 1-channel multi-stream session, scheduler lanes, packed archive
-// replay) must hash to the same ensembles and score/trigger series. No hash
+// pipeline, 1-channel multi-stream session, scheduler lanes, packed and raw
+// archive replay) must hash to the same ensembles and score/trigger series. No hash
 // constant is committed -- the reference is recomputed per build, for the
 // same compiler-drift reason as the boundary tolerance above.
 #include <gtest/gtest.h>
@@ -262,15 +262,15 @@ std::vector<Digest> scheduler_stations(
   return out;
 }
 
-/// Archive `xs` into a packed, multi-segment store and replay it through a
-/// live session.
-Digest packed_replay(std::span<const float> xs) {
+/// Archive `xs` into a multi-segment store, packed or raw, and replay it
+/// through a live session.
+Digest archive_replay(std::span<const float> xs, bool pack) {
   const core::PipelineParams params;
   const testsupport::ScopedTempDir dir("golden_digest");
   {
     river::SegmentStoreOptions options;
     options.max_segment_bytes = 256 << 10;  // several segments per clip
-    options.pack_payloads = true;
+    options.pack_payloads = pack;
     river::SegmentedRecordLog log(dir.path(), options);
     river::AudioSegmentArchiver archiver(log, params.sample_rate,
                                          params.record_size);
@@ -322,7 +322,10 @@ TEST(GoldenExtraction, CrossPathDigestAgrees) {
                 "1-channel multi-stream session, max fusion");
     expect_same(multi_session(xs, core::ScoreFusion::kMean), want,
                 "1-channel multi-stream session, mean fusion");
-    expect_same(packed_replay(xs), want, "packed archive replay");
+    expect_same(archive_replay(xs, /*pack=*/true), want,
+                "packed archive replay");
+    expect_same(archive_replay(xs, /*pack=*/false), want,
+                "raw archive replay");
   }
 
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
