@@ -52,6 +52,8 @@ struct SessionScheduler::Station {
   common::CondVar room;           ///< kBlock producers wait for queue room
   std::deque<std::vector<float>> queue DR_GUARDED_BY(mu);
   std::size_t queued_samples DR_GUARDED_BY(mu) = 0;
+  /// kBlock producers waiting on `room` right now.
+  std::size_t room_waiters DR_GUARDED_BY(mu) = 0;
   bool closed DR_GUARDED_BY(mu) = false;  ///< no more input will arrive
   /// finish() delivered (claimed by the serving lane).
   bool session_finished DR_GUARDED_BY(mu) = false;
@@ -185,7 +187,9 @@ std::size_t SessionScheduler::enqueue(Station& st,
       while (!shutdown_.load(std::memory_order_relaxed) &&
              st.queued_samples + samples.size() >
                  st.config.queue_capacity_samples) {
+        ++st.room_waiters;
         st.room.wait(lk);
+        --st.room_waiters;
       }
       if (shutdown_.load(std::memory_order_relaxed)) return 0;
     } else {
@@ -259,6 +263,7 @@ SessionScheduler::Visit SessionScheduler::process_station(Station& st) {
   bool drained = false;
   for (;;) {
     std::vector<float> chunk;
+    bool wake_producer = false;
     {
       const common::LockGuard lk(st.mu);
       if (st.queue.empty()) {
@@ -280,8 +285,14 @@ SessionScheduler::Visit SessionScheduler::process_station(Station& st) {
         st.session->reconfigure(*st.pending_params);
         st.pending_params.reset();
       }
+      // Low watermark: a blocked producer wakes once half the queue is free,
+      // then refills it in one burst instead of one chunk per dequeue. Every
+      // dequeue below the mark notifies again, and the queue drains to empty
+      // while a producer waits, so any chunk that fits the queue gets room.
+      wake_producer = st.room_waiters > 0 &&
+                      st.queued_samples <= st.config.queue_capacity_samples / 2;
     }
-    st.room.notify_all();  // queue room freed for a blocked producer
+    if (wake_producer) st.room.notify_all();
     st.deficit -= chunk.size();
     if (st.session->push(chunk) > 0) deliver(st, st.session->drain());
   }

@@ -16,7 +16,10 @@
 // an explicit backpressure policy:
 //   kBlock      — the producer (reader thread or push() caller) waits for
 //                 queue room; backpressure propagates upstream (a TCP
-//                 sender eventually blocks on its socket).
+//                 sender eventually blocks on its socket). A blocked
+//                 producer is woken at a low watermark, once the queue is
+//                 at most half full, and then refills it in one burst
+//                 rather than waking for every dequeued chunk.
 //   kDropOldest — the producer never waits; the oldest queued chunks are
 //                 evicted to make room and every evicted sample is counted
 //                 in StationStats::samples_dropped (lossy-edge accounting,
@@ -53,7 +56,8 @@ namespace dynriver::core {
 
 /// What an ingest queue does when a chunk arrives and the queue is full.
 enum class BackpressurePolicy : std::uint8_t {
-  kBlock,      ///< producer waits for room (lossless; upstream slows down)
+  kBlock,      ///< producer waits for room, woken once the queue is half
+               ///< free (lossless; upstream slows down)
   kDropOldest  ///< evict oldest queued chunks, counting every lost sample
 };
 

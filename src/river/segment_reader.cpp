@@ -3,6 +3,7 @@
 // which replays a cursor as a sample stream on its consumer's thread.
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <utility>
@@ -86,7 +87,8 @@ SegmentStoreReader::Cursor SegmentStoreReader::seek(double t0, double t1) {
 }
 
 // ---------------------------------------------------------------------------
-// SegmentWalk and EnvelopeScanner: the one walk and the one envelope parser
+// SegmentWalk, SegmentWindow and EnvelopeScanner: the one walk, its chunked
+// reads and the one envelope parser
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -132,7 +134,6 @@ void SegmentWalk::load_sealed(const SegmentInfo& s, SegmentWindow& w) const {
   fs::path path;
   SegmentFooter footer;
   std::string err;
-  std::ifstream in;
   for (int attempt = 0; attempt < 2 && path.empty(); ++attempt) {
     for (const auto& candidate : {final_path, tmp_path}) {
       std::string e;
@@ -140,18 +141,19 @@ void SegmentWalk::load_sealed(const SegmentInfo& s, SegmentWindow& w) const {
         if (err.empty()) err = e;
         continue;
       }
-      in.clear();
-      in.open(candidate, std::ios::binary);
-      if (!in) continue;  // renamed away between footer load and open
+      w.file.close();
+      w.file.clear();
+      w.file.open(candidate, std::ios::binary);
+      if (!w.file) continue;  // renamed away between footer load and open
       path = candidate;
       break;
     }
   }
   if (path.empty()) throw WireError("segment store: " + err);
 
-  w.base = kSegmentHeaderBytes;
+  std::uint64_t base = kSegmentHeaderBytes;
   if (s.t_min < t0_ && footer.index_count > 0) {
-    // Sparse-index probe: load only from the last entry at or before t0.
+    // Sparse-index probe: start at the last entry at or before t0.
     std::vector<std::pair<double, std::uint64_t>> index;
     if (!load_segment_index(path, footer, index, &err)) {
       throw WireError("segment store: " + err);
@@ -161,18 +163,13 @@ void SegmentWalk::load_sealed(const SegmentInfo& s, SegmentWindow& w) const {
         [](double t, const std::pair<double, std::uint64_t>& e) {
           return t < e.first;
         });
-    if (it != index.begin()) w.base = std::prev(it)->second;
+    if (it != index.begin()) base = std::prev(it)->second;
   }
   w.active = false;
   w.header_torn = false;
   // base <= payload_end: it is either the header size (footer geometry
   // enforces payload_end >= that) or a validated sparse-index offset.
-  w.bytes.resize(checked::narrow<std::size_t, WireError>(
-      footer.payload_end - w.base, "segment window size"));
-  in.seekg(static_cast<std::streamoff>(w.base));
-  if (!read_exact(in, w.bytes.data(), w.bytes.size())) {
-    throw WireError("segment store: short payload read in " + path.string());
-  }
+  w.set_extent(base, footer.payload_end);
 }
 
 bool SegmentWalk::load_active(SegmentWindow& w) const {
@@ -189,61 +186,113 @@ bool SegmentWalk::load_active(SegmentWindow& w) const {
   if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
     return false;  // a racing compaction reused the index: merged old data
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;  // writer may have just sealed+rotated it
+  w.file.close();
+  w.file.clear();
+  w.file.open(path, std::ios::binary);
+  if (!w.file) return false;  // writer may have just sealed+rotated it
   std::array<std::uint8_t, kSegmentHeaderBytes> header;
   // Header bytes still in the writer's buffer, or a header recovery would
   // not accept: the whole file is torn.
-  w.header_torn = !read_exact(in, header.data(), header.size()) ||
+  w.header_torn = !read_exact(w.file, header.data(), header.size()) ||
                   !segment_header_valid(header.data());
   // sealed_end != 0: the writer sealed this segment after our snapshot —
   // read exactly its payload, with sealed semantics (damage, not torn).
   w.active = sealed_end == 0;
-  w.base = w.header_torn ? 0 : kSegmentHeaderBytes;
   // The file may be growing under us; the statted size is a bounded
   // snapshot of the tail.
-  const std::uint64_t end = sealed_end != 0 ? sealed_end : size;
-  w.bytes.resize(checked::narrow<std::size_t, WireError>(
-      end - w.base, "active window size"));
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(w.base));
-  in.read(reinterpret_cast<char*>(w.bytes.data()),
-          static_cast<std::streamsize>(w.bytes.size()));
-  w.bytes.resize(checked::narrow<std::size_t, WireError>(
-      in.gcount(), "active window read size"));
+  w.set_extent(w.header_torn ? 0 : kSegmentHeaderBytes,
+               sealed_end != 0 ? sealed_end : size);
   return true;
 }
 
-EnvelopeScanner::Verdict EnvelopeScanner::next(const SegmentWindow& w,
+namespace {
+
+/// Bytes a window reads per refill, and so its buffer size while every frame
+/// fits in one chunk. The buffer is reused for every segment a cursor opens,
+/// so replay holds one chunk per cursor whatever the segment size.
+constexpr std::size_t kWindowChunkBytes = 256 << 10;
+
+}  // namespace
+
+void SegmentWindow::set_extent(std::uint64_t base_offset,
+                               std::uint64_t end_offset) {
+  base = base_offset;
+  end = end_offset;
+  chunk_base_ = base_offset;
+  resident_ = 0;
+  cut_ = false;
+}
+
+bool SegmentWindow::fill(std::uint64_t pos, std::uint64_t n) {
+  const std::uint64_t resident_end = checked::add<WireError>(
+      chunk_base_, std::uint64_t{resident_}, "segment window extent");
+  const std::uint64_t want = checked::add<WireError>(pos, n, "segment read");
+  if (pos >= chunk_base_ && want <= resident_end) return true;
+  if (cut_) return false;
+  // Keep the unread resident tail; read on after it.
+  std::size_t kept = 0;
+  if (pos >= chunk_base_ && pos < resident_end) {
+    kept = checked::narrow<std::size_t, WireError>(resident_end - pos,
+                                                   "segment window tail");
+    std::memmove(chunk_.data(), at(pos), kept);
+  }
+  chunk_base_ = pos;
+  // One chunk, or the whole frame when it is larger; never past `end`, so a
+  // damaged length cannot size the buffer beyond the segment's real bytes.
+  const auto target = checked::narrow<std::size_t, WireError>(
+      std::min(end - pos, std::max<std::uint64_t>(n, kWindowChunkBytes)),
+      "segment window chunk");
+  if (chunk_.size() < target) chunk_.resize(target);
+  file.clear();
+  file.seekg(checked::narrow<std::streamoff, WireError>(
+      checked::add<WireError>(pos, std::uint64_t{kept}, "segment read offset"),
+      "segment read offset"));
+  file.read(reinterpret_cast<char*>(chunk_.data() + kept),
+            checked::narrow<std::streamsize, WireError>(target - kept,
+                                                        "segment read size"));
+  resident_ = kept + checked::narrow<std::size_t, WireError>(
+                         file.gcount(), "segment read size");
+  // A short read: the file ends inside the extent (an active tail truncated
+  // under the reader, or a sealed file that lost bytes).
+  if (resident_ < target) cut_ = true;
+  return n <= resident_;
+}
+
+EnvelopeScanner::Verdict EnvelopeScanner::next(SegmentWindow& w,
                                                WireScratch& scratch,
                                                RecordView& out) {
   if (w.header_torn) return Verdict::kTorn;
   const Verdict broken = w.active ? Verdict::kTorn : Verdict::kDamaged;
   for (;;) {
-    const std::size_t remaining = w.bytes.size() - pos_;
-    if (remaining == 0) return Verdict::kDrained;
-    // An envelope that fails the rule is the writer's in-flight tail in an
-    // active window (everything from here on is not yet readable) and
-    // damage in a sealed one — the same place recovery truncates.
-    const std::uint8_t* env = w.bytes.data() + pos_;
+    const std::uint64_t left = w.end - pos_;
+    if (left == 0) return Verdict::kDrained;
+    // An envelope that fails the rule, or whose bytes the file no longer
+    // holds, is the writer's in-flight tail in an active window (everything
+    // from here on is not yet readable) and damage in a sealed one — the
+    // same place recovery truncates.
+    if (!w.fill(pos_, std::min<std::uint64_t>(left, kEnvelopeHeaderBytes))) {
+      return broken;
+    }
     Envelope e;
-    if (!parse_envelope(env, remaining, prev_t_, e)) return broken;
+    if (!parse_envelope(w.at(pos_), left, prev_t_, e)) return broken;
     ++scanned_;
     if (e.t >= t1_) return Verdict::kEnd;  // time is monotone
     prev_t_ = e.t;
-    if (e.t < t0_) {  // skip without decoding
-      pos_ += kEnvelopeHeaderBytes + e.len;
+    const std::uint64_t span = kEnvelopeHeaderBytes + std::uint64_t{e.len};
+    if (e.t < t0_) {  // skip without reading or decoding the frame
+      pos_ += span;
       continue;
     }
+    if (!w.fill(pos_, span)) return broken;
     try {
       std::size_t consumed = 0;
-      out = decode_record_view(env + kEnvelopeHeaderBytes, e.len, consumed,
-                               scratch);
+      out = decode_record_view(w.at(pos_) + kEnvelopeHeaderBytes, e.len,
+                               consumed, scratch);
       if (consumed != e.len) return broken;
     } catch (const WireError&) {
       return broken;
     }
-    pos_ += kEnvelopeHeaderBytes + e.len;
+    pos_ += span;
     time_ = e.t;
     return Verdict::kRecord;
   }
@@ -264,20 +313,21 @@ bool SegmentStoreReader::Cursor::next_view(RecordView& out) {
         try {
           if (!walk_.next(window_)) return false;
         } catch (...) {
-          // Drop the half-loaded window, so a retry reloads the segment the
+          // Drop the half-opened window, so a retry reopens the segment the
           // walk stopped on instead of scanning stale bytes or skipping it.
-          window_ = {};
-          scan_.reset();
+          window_.set_extent(0, 0);
+          scan_.reset(window_);
           throw;
         }
         ++store_->opened_;
-        scan_.reset();
+        scan_.reset(window_);
         continue;
       case EnvelopeScanner::Verdict::kEnd:
         return false;
       case EnvelopeScanner::Verdict::kTorn:
         torn_ = true;
-        lost_bytes_ = scan_.lost_bytes(window_);
+        lost_bytes_ = checked::narrow<std::size_t, WireError>(
+            scan_.lost_bytes(window_), "torn byte count");
         return false;
       case EnvelopeScanner::Verdict::kDamaged:
         throw WireError("segment store: damaged sealed segment");

@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -294,25 +295,56 @@ class SegmentedRecordLog {
 
 namespace detail {
 
-/// One segment's payload as SegmentWalk yields it.
+/// One segment's payload extent [base, end) as SegmentWalk opens it: a
+/// bounded, refillable view of the file, not a copy of it. The window keeps
+/// the segment's file open and holds one fixed-size chunk of it (its
+/// buffer grows beyond a chunk only to fit a larger frame, never past
+/// `end`), so replay memory does not grow with the segment size. An open
+/// file survives a compaction's rename and unlink.
 struct SegmentWindow {
-  std::vector<std::uint8_t> bytes;  ///< file contents [base, base + size)
-  std::uint64_t base = 0;           ///< file offset of bytes[0]
-  bool active = false;  ///< unsealed tail: what does not parse is torn
-  /// The active header is unreadable, so the whole file (all of `bytes`,
-  /// from offset 0) is torn.
+  std::ifstream file;      ///< the segment, open across refills
+  std::uint64_t base = 0;  ///< file offset the scan starts at
+  std::uint64_t end = 0;   ///< file offset one past the window's last byte
+  bool active = false;     ///< unsealed tail: what does not parse is torn
+  /// The active header is unreadable, so the whole file (from offset 0 to
+  /// `end`) is torn.
   bool header_torn = false;
+
+  /// Point the window at [base, end) of `file`, with nothing resident.
+  void set_extent(std::uint64_t base_offset, std::uint64_t end_offset);
+
+  /// Make the file bytes [pos, pos + n) resident, for base <= pos and
+  /// n <= end - pos. When they are not, the unread resident tail from `pos`
+  /// moves to the front and the window reads on from there: one chunk, or
+  /// `n` bytes when a frame is larger, never past `end`. False when the file
+  /// ends short of them. A short read cuts the window where the file ended:
+  /// nothing past it is read again, so every later fill beyond it is false.
+  [[nodiscard]] bool fill(std::uint64_t pos, std::uint64_t n);
+
+  /// The resident byte at file offset `pos`, after fill(pos, ...) held.
+  [[nodiscard]] const std::uint8_t* at(std::uint64_t pos) const {
+    return chunk_.data() + (pos - chunk_base_);
+  }
+
+ private:
+  std::vector<std::uint8_t> chunk_;  ///< file bytes from chunk_base_ on
+  std::uint64_t chunk_base_ = 0;
+  std::size_t resident_ = 0;  ///< bytes of chunk_ read from the file
+  bool cut_ = false;  ///< a read came up short: the file ends at the chunk
 };
 
 /// The catalog walk every segment-store reader runs: sealed segments that
 /// can overlap [t0, t1) in manifest order — O(log n) to the first, a sparse
-/// index probe into it — then the active tail. One window per segment.
+/// index probe into it — then the active tail. Each segment is opened as one
+/// window: a sealed one up to its footer's payload end, the active tail up
+/// to the size statted when the walk reached it. The scanner reads each
+/// window in chunks.
 class SegmentWalk {
  public:
   SegmentWalk(const SegmentStoreReader& reader, double t0, double t1);
 
-  /// Load the next segment into `w`, reusing its buffer; false once the walk
-  /// is over. Throws WireError when a sealed segment cannot be read, and
+  /// Open the next segment in `w`, reusing its buffer; false once the walk
+  /// is over. Throws WireError when a sealed segment cannot be opened, and
   /// stays on that segment: the next call tries it again.
   [[nodiscard]] bool next(SegmentWindow& w);
 
@@ -333,37 +365,38 @@ class EnvelopeScanner {
  public:
   enum class Verdict : std::uint8_t {
     kRecord,   ///< the next in-range record was decoded
-    kDrained,  ///< the window is used up: load the next one, then reset()
+    kDrained,  ///< the window is used up: open the next one, then reset()
     kEnd,      ///< a stamp at or past t1: time is monotone, the range is done
-    kTorn,     ///< the rest of an active window does not parse
-    kDamaged,  ///< the rest of a sealed window does not parse
+    kTorn,     ///< the rest of an active window does not parse or read
+    kDamaged,  ///< the rest of a sealed window does not parse or read
   };
 
   EnvelopeScanner(double t0, double t1) : t0_(t0), t1_(t1) {}
 
-  /// Start on a freshly loaded window.
-  void reset() {
-    pos_ = 0;
+  /// Start on a freshly opened window.
+  void reset(const SegmentWindow& w) {
+    pos_ = w.base;
     prev_t_ = -std::numeric_limits<double>::infinity();
   }
 
   /// Decode the next in-range record of `w` into `out` (spans borrow `w`
-  /// and `scratch`). Every verdict but kRecord repeats until reset().
-  [[nodiscard]] Verdict next(const SegmentWindow& w, WireScratch& scratch,
+  /// and `scratch`), refilling `w` whenever the next envelope header or
+  /// frame is not resident. Every verdict but kRecord repeats until reset().
+  [[nodiscard]] Verdict next(SegmentWindow& w, WireScratch& scratch,
                              RecordView& out);
 
   /// Stream time of the record last decoded.
   [[nodiscard]] double time() const { return time_; }
-  /// Bytes of `w` from the first envelope that does not parse on.
-  [[nodiscard]] std::size_t lost_bytes(const SegmentWindow& w) const {
-    return w.bytes.size() - pos_;
+  /// Bytes of `w` from the first envelope that does not parse or read on.
+  [[nodiscard]] std::uint64_t lost_bytes(const SegmentWindow& w) const {
+    return w.end - pos_;
   }
   [[nodiscard]] std::size_t frames_scanned() const { return scanned_; }
 
  private:
   double t0_;
   double t1_;
-  std::size_t pos_ = 0;  ///< offset in the window of the next envelope
+  std::uint64_t pos_ = 0;  ///< file offset of the next envelope
   /// Stamp of the window's last envelope (the envelope rule's floor).
   double prev_t_ = -std::numeric_limits<double>::infinity();
   double time_ = 0.0;
@@ -424,7 +457,7 @@ class SegmentStoreReader {
 
     SegmentStoreReader* store_;
     detail::SegmentWalk walk_;
-    detail::SegmentWindow window_;  ///< the segment being read, reused
+    detail::SegmentWindow window_;  ///< the segment being read; its chunk is reused
     detail::EnvelopeScanner scan_;
     WireScratch scratch_;
     bool torn_ = false;

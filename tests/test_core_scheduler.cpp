@@ -493,3 +493,152 @@ TEST(SessionScheduler, OnRoundCallsNeverOverlap) {
   EXPECT_EQ(calls.load(), stats.rounds);
   EXPECT_LE(max_in_flight.load(), 1);
 }
+
+namespace {
+
+/// A source-fed and a push-fed kBlock station whose queues hold `capacity`
+/// samples, filled `chunk` samples at a time, on two lanes. The producers
+/// wake only at the queue's low watermark; neither may stall, lose a sample
+/// or break the accounting identity at any round.
+void expect_block_queues_drain(std::size_t chunk, std::size_t capacity) {
+  const auto params = small_params();
+  const auto fed = random_signal_with_events(60000, 61);
+  const auto pushed = random_signal_with_events(60000, 62);
+  const core::EnsembleExtractor extractor(params);
+
+  core::SchedulerOptions options;
+  options.threads = 2;
+  options.quantum_samples = 1024;
+  options.on_round = [capacity](const core::SchedulerStats& snapshot) {
+    for (const auto& st : snapshot.stations) {
+      EXPECT_LE(st.queued_samples, capacity) << st.name;
+      EXPECT_EQ(st.samples_in, st.samples_consumed + st.samples_dropped +
+                                   st.queued_samples)
+          << st.name;
+    }
+  };
+  core::SessionScheduler scheduler(std::move(options));
+
+  core::StationConfig config;
+  config.params = params;
+  config.policy = core::BackpressurePolicy::kBlock;
+  config.queue_capacity_samples = capacity;
+  config.read_chunk_samples = chunk;
+  auto fed_sink = std::make_shared<river::CollectingEnsembleSink>();
+  auto pushed_sink = std::make_shared<river::CollectingEnsembleSink>();
+  scheduler.add_station(
+      "fed", std::make_shared<river::BufferSource>(fed, params.sample_rate),
+      fed_sink, config);
+  const auto id = scheduler.add_station("pushed", pushed_sink, config);
+
+  std::thread pusher([&] {
+    for (std::size_t pos = 0; pos < pushed.size(); pos += chunk) {
+      const std::size_t n = std::min(chunk, pushed.size() - pos);
+      EXPECT_EQ(scheduler.push(id, std::span<const float>(pushed.data() + pos, n)),
+                0U);
+    }
+    scheduler.close_station(id);
+  });
+  scheduler.run();
+  pusher.join();
+
+  const auto stats = scheduler.stats();
+  const std::vector<const std::vector<float>*> signals{&fed, &pushed};
+  for (std::size_t s = 0; s < signals.size(); ++s) {
+    const auto& st = stats.stations[s];
+    EXPECT_TRUE(st.finished) << st.name;
+    EXPECT_EQ(st.samples_in, signals[s]->size()) << st.name;
+    EXPECT_EQ(st.samples_consumed, signals[s]->size()) << st.name;
+    EXPECT_EQ(st.samples_dropped, 0U) << st.name;
+    EXPECT_EQ(st.queued_samples, 0U) << st.name;
+  }
+  expect_same_ensembles(fed_sink->ensembles, extractor.extract(fed).ensembles,
+                        "fed");
+  expect_same_ensembles(pushed_sink->ensembles,
+                        extractor.extract(pushed).ensembles, "pushed");
+}
+
+}  // namespace
+
+TEST(SessionScheduler, BlockQueueOfExactlyOneChunkDrainsLosslessly) {
+  // The only room a waiting producer can get is an empty queue.
+  expect_block_queues_drain(512, 512);
+}
+
+TEST(SessionScheduler, BlockQueueOfOneAndAHalfChunksDrainsLosslessly) {
+  // A waiting producer needs the queue below its low watermark (384
+  // samples) before its chunk fits.
+  expect_block_queues_drain(512, 768);
+}
+
+TEST(SessionScheduler, ShutdownWakesAPushBlockedOnAFullQueue) {
+  // A push() caller is blocked on a full one-chunk kBlock queue when the
+  // sink throws. run() must rethrow, the blocked push() must return without
+  // enqueuing (so the pusher can be joined), and the accounting identity
+  // must hold for what was accepted.
+  const auto params = small_params();
+  constexpr std::size_t kChunk = 512;
+  const auto xs = random_signal_with_events(60000, 5);
+  std::atomic<std::size_t> attempts{0};
+  std::atomic<std::size_t> returned{0};
+
+  core::SchedulerOptions options;
+  options.threads = 2;
+  core::SessionScheduler scheduler(options);
+
+  class ThrowingSink final : public river::EnsembleSink {
+   public:
+    ThrowingSink(const core::SessionScheduler& scheduler,
+                 const std::atomic<std::size_t>& attempts,
+                 const std::atomic<std::size_t>& returned)
+        : scheduler_(scheduler), attempts_(attempts), returned_(returned) {}
+    void accept(river::Ensemble /*ensemble*/) override {
+      // Throw only once the queue is full and a push() is in flight.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!blocked() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      producer_was_blocked = blocked();
+      throw std::runtime_error("sink failed");
+    }
+    bool producer_was_blocked = false;
+
+   private:
+    [[nodiscard]] bool blocked() const {
+      return scheduler_.stats().stations[0].queued_samples == kChunk &&
+             attempts_.load() > returned_.load();
+    }
+    const core::SessionScheduler& scheduler_;
+    const std::atomic<std::size_t>& attempts_;
+    const std::atomic<std::size_t>& returned_;
+  };
+
+  core::StationConfig config;
+  config.params = params;
+  config.policy = core::BackpressurePolicy::kBlock;
+  config.queue_capacity_samples = kChunk;
+  config.read_chunk_samples = kChunk;
+  auto sink = std::make_shared<ThrowingSink>(scheduler, attempts, returned);
+  const auto id = scheduler.add_station("pushed", sink, config);
+
+  std::thread pusher([&] {
+    for (std::size_t pos = 0; pos < xs.size(); pos += kChunk) {
+      const std::size_t n = std::min(kChunk, xs.size() - pos);
+      attempts.fetch_add(1);
+      EXPECT_EQ(scheduler.push(id, std::span<const float>(xs.data() + pos, n)),
+                0U);
+      returned.fetch_add(1);
+    }
+  });
+  EXPECT_THROW(scheduler.run(), std::runtime_error);
+  pusher.join();
+  EXPECT_TRUE(sink->producer_was_blocked);
+
+  const auto st = scheduler.stats().stations[0];
+  EXPECT_LT(st.samples_in, xs.size()) << "pushes after shutdown were queued";
+  EXPECT_LE(st.queued_samples, kChunk);
+  EXPECT_EQ(st.samples_dropped, 0U);
+  EXPECT_EQ(st.samples_in,
+            st.samples_consumed + st.samples_dropped + st.queued_samples);
+}

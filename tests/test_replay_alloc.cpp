@@ -7,12 +7,18 @@
 // The budget is deliberately not exactly zero: per-*segment* costs (an
 // ifstream, a window reload) are allowed, per-*frame* costs are
 // not — hence the < 0.05 allocations/frame ceiling.
+//
+// Replay memory is also bounded per segment: a cursor reads a segment
+// through one fixed-size chunk, so replaying a multi-MiB sealed segment
+// never asks for a buffer anywhere near the segment's size. The shim records
+// the largest single allocation to pin that.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <span>
 #include <vector>
@@ -24,6 +30,7 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_largest_allocation{0};
 
 }  // namespace
 
@@ -32,6 +39,10 @@ std::atomic<std::size_t> g_allocations{0};
 // left to the defaults — nothing on the replay path over-aligns.)
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest_allocation.compare_exchange_weak(
+                               largest, size, std::memory_order_relaxed)) {
+  }
   if (void* p = std::malloc(size > 0 ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -55,6 +66,24 @@ float quantize_pcm16(float v) {
 
 class ReplayAllocTest : public testsupport::TempDirTest {};
 
+/// Archive `records` packed 900-sample audio records into a store at `dir`
+/// with the default segment options.
+void write_packed_store(const std::filesystem::path& dir, std::size_t records) {
+  constexpr std::size_t kRecordSamples = 900;
+  std::vector<float> xs(records * kRecordSamples);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] =
+        quantize_pcm16(0.4F * std::sin(static_cast<float>(i % 4096) * 0.013F));
+  }
+  river::SegmentStoreOptions options;
+  options.pack_payloads = true;
+  river::SegmentedRecordLog log(dir, options);
+  river::AudioSegmentArchiver archiver(log, 21600.0, kRecordSamples);
+  archiver.push(xs);
+  archiver.finish();
+  log.close();
+}
+
 }  // namespace
 
 TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
@@ -65,20 +94,7 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
   constexpr std::size_t kRecordSamples = 900;
   constexpr std::size_t kRecords = 2000;
   constexpr std::size_t kMeasuredRecords = 1000;
-  {
-    std::vector<float> xs(kRecords * kRecordSamples);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      xs[i] = quantize_pcm16(
-          0.4F * std::sin(static_cast<float>(i % 4096) * 0.013F));
-    }
-    river::SegmentStoreOptions options;
-    options.pack_payloads = true;
-    river::SegmentedRecordLog log(dir, options);
-    river::AudioSegmentArchiver archiver(log, 21600.0, kRecordSamples);
-    archiver.push(xs);
-    archiver.finish();
-    log.close();
-  }
+  write_packed_store(dir, kRecords);
 
   // Replay through the source: it drains a cursor on this thread.
   {
@@ -137,4 +153,50 @@ TEST_F(ReplayAllocTest, SteadyStateReplayIsAllocationFreePerFrame) {
     }
     EXPECT_FALSE(cursor.torn());
   }
+}
+
+TEST_F(ReplayAllocTest, ReplayOfAMultiMebibyteSegmentAllocatesNoLargeBuffer) {
+  // One sealed segment of more than 2 MiB under the default 8 MiB segment
+  // size. From opening the store to the end of the replay, no single
+  // allocation may reach 1 MiB: the segment is read in bounded chunks, not
+  // loaded whole.
+  constexpr std::size_t kMaxAllocation = 1U << 20;
+  const auto dir = temp_file("store");
+  write_packed_store(dir, 3000);
+  {
+    river::SegmentStoreReader probe(dir);
+    const auto segments = probe.segments();
+    ASSERT_EQ(segments.size(), 1U);
+    ASSERT_TRUE(segments[0].sealed);
+    ASSERT_GT(segments[0].bytes, 2U << 20);
+  }
+
+  g_largest_allocation.store(0, std::memory_order_relaxed);
+  {
+    river::SegmentStoreSource source(dir);
+    std::vector<float> buf(256);
+    std::size_t read = 0;
+    for (std::size_t n = source.read(buf); n > 0; n = source.read(buf)) {
+      read += n;
+    }
+    EXPECT_EQ(read, 3000U * 900U);
+    EXPECT_TRUE(source.clean());
+  }
+  EXPECT_LT(g_largest_allocation.load(std::memory_order_relaxed),
+            kMaxAllocation)
+      << "source replay allocated a segment-sized buffer";
+
+  g_largest_allocation.store(0, std::memory_order_relaxed);
+  {
+    river::SegmentStoreReader reader(dir);
+    auto cursor = reader.seek(0.0);
+    river::RecordView view;
+    std::size_t records = 0;
+    while (cursor.next_view(view)) ++records;
+    EXPECT_FALSE(cursor.torn());
+    EXPECT_EQ(records, 3000U);
+  }
+  EXPECT_LT(g_largest_allocation.load(std::memory_order_relaxed),
+            kMaxAllocation)
+      << "cursor replay allocated a segment-sized buffer";
 }

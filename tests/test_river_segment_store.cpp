@@ -584,18 +584,43 @@ TEST_F(SegmentStoreTest, ReadContractTornActiveTornHeaderAndSealedDamage) {
 
 namespace {
 
-/// Three records left unsealed in a store's active segment: appended,
-/// synced, and read back before close() seals them.
-std::vector<std::uint8_t> synced_active_segment(const fs::path& dir,
-                                                std::size_t samples) {
+/// `records` left unsealed in a fresh store's active segment, the i-th
+/// stamped i * `step`: appended, synced, and read back before close() seals
+/// them.
+std::vector<std::uint8_t> synced_active_segment(
+    const fs::path& dir, const std::vector<Record>& records, double step) {
   river::SegmentedRecordLog log(dir);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    log.append(audio_record(i, samples), static_cast<double>(i));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    log.append(records[i], step * static_cast<double>(i));
   }
   log.sync();
   auto bytes = testsupport::read_file_bytes(dir / "seg-000000.drs");
   log.close();
   return bytes;
+}
+
+/// Three records of `samples` samples each, stamped 0, 1, 2.
+std::vector<std::uint8_t> synced_active_segment(const fs::path& dir,
+                                                std::size_t samples) {
+  return synced_active_segment(dir,
+                               {audio_record(0, samples),
+                                audio_record(1, samples),
+                                audio_record(2, samples)},
+                               1.0);
+}
+
+/// The file offset just past each envelope of a segment's payload, from
+/// the header up to `payload_end`.
+std::vector<std::size_t> envelope_ends(const std::vector<std::uint8_t>& bytes,
+                                       std::size_t payload_end) {
+  std::vector<std::size_t> ends;
+  for (std::size_t pos = river::kSegmentHeaderBytes; pos < payload_end;) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, 4);
+    pos += river::kEnvelopeHeaderBytes + len;
+    ends.push_back(pos);
+  }
+  return ends;
 }
 
 /// An unsealed segment of 40-sample records stamped `stamps`, written from
@@ -692,13 +717,7 @@ TEST_F(SegmentStoreTest, ActiveTailTruncatedAtEveryByteReaderAgreesWithRecovery)
   // record before the cut comes back without a throw, and recovery keeps
   // exactly those.
   const auto pristine = synced_active_segment(temp_file("cut_src"), 60);
-  std::vector<std::size_t> ends;  // file offset just past each envelope
-  for (std::size_t pos = river::kSegmentHeaderBytes; pos < pristine.size();) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, pristine.data() + pos, 4);
-    pos += river::kEnvelopeHeaderBytes + len;
-    ends.push_back(pos);
-  }
+  const auto ends = envelope_ends(pristine, pristine.size());
   ASSERT_EQ(ends.size(), 3U);
   ASSERT_EQ(ends.back(), pristine.size());
 
@@ -1522,4 +1541,202 @@ TEST_F(SegmentStoreTest, SchedulerReplayStationMatchesLiveExtraction) {
   ASSERT_EQ(stats.stations.size(), 1U);
   EXPECT_TRUE(stats.stations[0].finished);
   EXPECT_EQ(stats.stations[0].samples_dropped, 0U);
+}
+
+// ---------------------------------------------------------------------------
+// Chunked windows: a cursor reads each segment through one bounded chunk
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Records of uneven sizes (about 3-10 KiB of frame each), so frames
+/// straddle the ends of a window's chunks, plus one frame at `big_at` that
+/// is larger than a chunk. Stamped by chunked_stamp() (0.01 s apart).
+std::vector<Record> uneven_records(std::size_t count, std::size_t big_at) {
+  std::vector<Record> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t n = i == big_at ? 100000 : 700 + (i * 397) % 1900;
+    out.push_back(audio_record(i, n));
+  }
+  return out;
+}
+
+double chunked_stamp(std::size_t i) { return 0.01 * static_cast<double>(i); }
+
+/// `records` stamped by chunked_stamp(), sealed in one segment at `dir`.
+void write_sealed_store(const fs::path& dir, const std::vector<Record>& records) {
+  river::SegmentedRecordLog log(dir);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    log.append(records[i], chunked_stamp(i));
+  }
+  log.close();
+}
+
+constexpr std::size_t kChunkScale = 256 << 10;  // the reader's chunk size
+
+}  // namespace
+
+TEST_F(SegmentStoreTest, ChunkedReadsServeEveryRecordAcrossChunkEnds) {
+  // About 2 MiB in one segment, read sealed and read as a synced active
+  // tail: every record comes back whole, the one larger than a chunk too.
+  const auto written = uneven_records(300, 150);
+  const auto dir = store_dir();
+  {
+    river::SegmentedRecordLog log(dir);
+    for (std::size_t i = 0; i < written.size(); ++i) {
+      log.append(written[i], chunked_stamp(i));
+    }
+    log.sync();
+    river::SegmentStoreReader reader(dir);
+    ASSERT_EQ(reader.segments().size(), 1U);
+    ASSERT_FALSE(reader.segments()[0].sealed);
+    ASSERT_GT(reader.segments()[0].bytes, 6 * kChunkScale);
+    auto cursor = reader.seek(0.0);
+    EXPECT_EQ(drain_cursor(cursor), written) << "active tail";
+    EXPECT_FALSE(cursor.torn());
+    log.close();
+  }
+  river::SegmentStoreReader reader(dir);
+  ASSERT_EQ(reader.segments().size(), 1U);
+  ASSERT_TRUE(reader.segments()[0].sealed);
+  auto cursor = reader.seek(0.0);
+  EXPECT_EQ(drain_cursor(cursor), written) << "sealed";
+  EXPECT_EQ(cursor.frames_scanned(), written.size());
+}
+
+TEST_F(SegmentStoreTest, SparseIndexSeekStartsMidSegmentAcrossChunks) {
+  // The index probe starts the window deep inside the segment; the ranges
+  // cross chunk ends and the frame larger than a chunk.
+  const auto written = uneven_records(300, 150);
+  const auto dir = store_dir();
+  write_sealed_store(dir, written);
+  river::SegmentStoreReader reader(dir);
+  ASSERT_EQ(reader.segments().size(), 1U);
+  for (const auto& [first, last] : {std::pair<std::size_t, std::size_t>{200, 300},
+                                    {120, 180},
+                                    {151, 152},
+                                    {299, 300}}) {
+    auto cursor = reader.seek(chunked_stamp(first) - 0.001,
+                              chunked_stamp(last) - 0.001);
+    const std::vector<Record> want(
+        written.begin() + static_cast<std::ptrdiff_t>(first),
+        written.begin() + static_cast<std::ptrdiff_t>(last));
+    EXPECT_EQ(drain_cursor(cursor), want) << first << ".." << last;
+    // One 64 KiB index granule holds at most ~25 of these records.
+    EXPECT_LE(cursor.frames_scanned(), want.size() + 26U)
+        << first << ".." << last << ": the scan started at the segment head";
+  }
+}
+
+TEST_F(SegmentStoreTest, CorruptByteInALaterChunkOfASealedSegmentFailsClosed) {
+  // A flipped frame byte three chunks into a sealed segment: the records
+  // before it come back, then the cursor throws, again on a retry, and the
+  // replay source ends unclean.
+  const auto written = uneven_records(300, 150);
+  const auto dir = store_dir();
+  write_sealed_store(dir, written);
+  const auto segment = river::SegmentStoreReader(dir).segments()[0];
+  const auto path = dir / segment.name;
+  auto bytes = testsupport::read_file_bytes(path);
+  const auto ends =
+      envelope_ends(bytes, river::kSegmentHeaderBytes + segment.bytes);
+  ASSERT_EQ(ends.size(), written.size());
+  // Envelope `damaged` is the first to start past three chunks; flip a byte
+  // in the middle of its frame.
+  const auto damaged = static_cast<std::size_t>(
+      std::upper_bound(ends.begin(), ends.end(), 3 * kChunkScale) -
+      ends.begin()) + 1;
+  ASSERT_LT(damaged, ends.size());
+  bytes[(ends[damaged - 1] + ends[damaged]) / 2] ^= 0x10;
+  testsupport::write_file_bytes(path, bytes);
+
+  river::SegmentStoreReader reader(dir);
+  EXPECT_FALSE(reader.verify());
+  auto cursor = reader.seek(0.0);
+  std::vector<Record> got;
+  Record rec;
+  EXPECT_THROW(
+      {
+        while (cursor.next(rec)) got.push_back(rec);
+      },
+      river::WireError);
+  EXPECT_EQ(got, std::vector<Record>(
+                     written.begin(),
+                     written.begin() + static_cast<std::ptrdiff_t>(damaged)));
+  EXPECT_THROW((void)cursor.next(rec), river::WireError) << "retry";
+
+  river::SegmentStoreSource source(dir);
+  (void)drain(source, 4096);
+  EXPECT_TRUE(source.exhausted());
+  EXPECT_FALSE(source.clean());
+}
+
+TEST_F(SegmentStoreTest, ActiveTailLongerThanAChunkKeepsTornAndLostBytes) {
+  // The 29-byte torn tail of ReadContractTornActiveTornHeaderAndSealedDamage,
+  // after some 2 MiB of complete records: the cursor serves them all, then
+  // reports the same torn bytes, and agrees with recovery.
+  const auto written = uneven_records(300, 150);
+  auto bytes = synced_active_segment(temp_file("src"), written, 0.01);
+  ASSERT_GT(bytes.size(), 6 * kChunkScale);
+  const std::uint32_t len = 200;
+  const double t = 10.0;
+  bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&len),
+               reinterpret_cast<const std::uint8_t*>(&len) + 4);
+  bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&t),
+               reinterpret_cast<const std::uint8_t*>(&t) + 8);
+  bytes.insert(bytes.end(), 17, 0x42);
+
+  const auto dir = temp_file("torn");
+  fs::create_directories(dir);
+  testsupport::write_file_bytes(dir / "seg-000000.drs", bytes);
+  {
+    river::SegmentStoreReader reader(dir);
+    auto cursor = reader.seek(0.0);
+    EXPECT_EQ(drain_cursor(cursor), written);
+    EXPECT_TRUE(cursor.torn());
+    EXPECT_EQ(cursor.lost_bytes(), 29U) << "12-byte envelope + 17 bytes";
+  }
+  const auto got = read_then_recover(temp_file("probe"), bytes);
+  expect_reader_agrees_with_recovery(got, "long torn tail");
+  EXPECT_EQ(got.drained, written.size());
+}
+
+TEST_F(SegmentStoreTest, ActiveTailTruncatedBetweenTwoNextCallsReadsAsTorn) {
+  // The window is a snapshot of the statted size, read a chunk at a time.
+  // A file cut after the first next() must end the cursor torn, with every
+  // record it served whole and in order and the bytes it could not read
+  // counted, and without a throw — at a frame's middle and at an envelope
+  // boundary alike.
+  const auto written = uneven_records(300, 150);
+  const auto pristine = synced_active_segment(temp_file("src"), written, 0.01);
+  const auto ends = envelope_ends(pristine, pristine.size());
+  ASSERT_EQ(ends.size(), written.size());
+  ASSERT_EQ(ends.back(), pristine.size());
+  const auto boundary = *std::upper_bound(ends.begin(), ends.end(),
+                                          2 * kChunkScale + 1000);
+  for (const std::size_t cut : {2 * kChunkScale + 1000, boundary}) {
+    const auto dir = temp_file("cut" + std::to_string(cut));
+    fs::create_directories(dir);
+    const auto path = dir / "seg-000000.drs";
+    testsupport::write_file_bytes(path, pristine);
+    river::SegmentStoreReader reader(dir);
+    auto cursor = reader.seek(0.0);
+    Record rec;
+    ASSERT_TRUE(cursor.next(rec));
+    std::vector<Record> got{rec};
+    fs::resize_file(path, cut);
+    EXPECT_NO_THROW({
+      while (cursor.next(rec)) got.push_back(rec);
+    }) << "cut at " << cut;
+
+    const auto whole = static_cast<std::size_t>(std::count_if(
+        ends.begin(), ends.end(), [&](std::size_t e) { return e <= cut; }));
+    EXPECT_EQ(got, std::vector<Record>(
+                       written.begin(),
+                       written.begin() + static_cast<std::ptrdiff_t>(whole)))
+        << "cut at " << cut;
+    EXPECT_TRUE(cursor.torn()) << "cut at " << cut;
+    EXPECT_EQ(cursor.lost_bytes(), pristine.size() - ends[whole - 1])
+        << "cut at " << cut;
+  }
 }
