@@ -440,10 +440,10 @@ void run_json_sweep() {
     });
   }
 
-  // The SAX anomaly scorer alone, one second of audio: the per-sample
-  // streaming automaton vs the record-granular batch path (bit-identical
-  // outputs; the spread is what the dsp::simd energy fold + run-smoothed
-  // moving average buy before any trigger/cutter work).
+  // The SAX anomaly scorer alone, one second of audio: one-sample pushes
+  // vs one batch through the block kernel (bit-identical outputs; the
+  // spread is the per-call cost the kernel amortizes over a block, before
+  // any trigger/cutter work).
   {
     const auto signal = random_signal(21600, 31);
     const ts::AnomalyParams aparams = core::PipelineParams{}.anomaly;

@@ -47,7 +47,11 @@ tier-1 ctest `repo_lint`, so `ctest -L tier1` fails on a violation. Checks:
                             loop is the one scorer -> fusion -> trigger ->
                             cutter loop (StreamSession is its C = 1 case),
                             so a second copy of it fails here, not in
-                            review.
+                            review. One smoothing loop too: `MovingAverage`
+                            (now the test oracle in tests/support) may not
+                            reappear in src/ — the scorer's block kernel
+                            smooths — and `TriggerState` appears only in
+                            core/ops_anomaly.* and core/stream_session.*.
 """
 
 from __future__ import annotations
@@ -297,19 +301,40 @@ class Linter:
         "src/core/stream_session.cpp",
     )
 
+    TRIGGER_FILES = (
+        "src/core/ops_anomaly.hpp",
+        "src/core/ops_anomaly.cpp",
+        "src/core/stream_session.hpp",
+        "src/core/stream_session.cpp",
+    )
+
     def check_session_loop(self) -> None:
         allowed = {self.root / rel for rel in self.SESSION_LOOP_FILES}
+        trigger_allowed = {self.root / rel for rel in self.TRIGGER_FILES}
         call = re.compile(r"\bstep_run\s*\(")
+        smoother = re.compile(r"\bMovingAverage\b")
+        trigger = re.compile(r"\bTriggerState\b")
         for path in cxx_files(self.root, dirs=("src",)):
-            if path in allowed:
-                continue
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                if call.search(strip_line_comment(line)):
+                code = strip_line_comment(line)
+                if path not in allowed and call.search(code):
                     self.fail(path, lineno, "one-session-loop",
                               "StreamCutter::step_run outside the session "
                               "loop: extend MultiStreamSession "
                               "(core/stream_session.cpp) instead of adding "
                               "a second scorer -> trigger -> cutter loop")
+                if smoother.search(code):
+                    self.fail(path, lineno, "one-session-loop",
+                              "MovingAverage in src/: smoothing runs in "
+                              "ts::StreamingAnomalyScorer's block kernel; "
+                              "the class is the test oracle in "
+                              "tests/support")
+                if path not in trigger_allowed and trigger.search(code):
+                    self.fail(path, lineno, "one-session-loop",
+                              "TriggerState outside core/ops_anomaly.* and "
+                              "core/stream_session.*: feed the session's "
+                              "fused loop instead of adding a second "
+                              "smoothing -> trigger loop")
 
     def run(self) -> int:
         self.check_cmake_targets()

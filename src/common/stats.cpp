@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/contracts.hpp"
-
 namespace dynriver {
 
 void RunningStats::reset() {
@@ -52,23 +50,5 @@ double mean_of(std::span<const double> xs) { return mean_impl(xs); }
 double mean_of(std::span<const float> xs) { return mean_impl(xs); }
 double stddev_of(std::span<const double> xs) { return stddev_impl(xs); }
 double stddev_of(std::span<const float> xs) { return stddev_impl(xs); }
-
-MovingAverage::MovingAverage(std::size_t window)
-    : window_(window), run_cap_(window + 1), tail_(window) {
-  DR_EXPECTS(window >= 1);
-  // Capacity for the distinct-consecutive-values worst case (every sample
-  // its own run); only ~window/run_length entries are ever touched when the
-  // input is frame-constant.
-  runs_.assign(run_cap_, Run{0.0, 0});
-}
-
-void MovingAverage::reset() {
-  head_ = 0;
-  tail_ = run_cap_ - 1;
-  n_runs_ = 0;
-  size_ = 0;
-  sum_ = 0.0;
-  inv_size_ = 0.0;
-}
 
 }  // namespace dynriver

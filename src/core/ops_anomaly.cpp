@@ -37,8 +37,7 @@ void SaxAnomalyOp::process(Record rec, river::Emitter& out) {
 
 TriggerState::TriggerState(double sigma_threshold, std::size_t min_baseline,
                            std::size_t hold_samples)
-    : sigma_threshold_(sigma_threshold),
-      sigma_sq_(sigma_threshold * sigma_threshold),
+    : sigma_sq_(sigma_threshold * sigma_threshold),
       min_baseline_(min_baseline),
       hold_samples_(hold_samples) {
   DR_EXPECTS(sigma_threshold > 0.0);
@@ -57,7 +56,6 @@ void TriggerState::set_thresholding(double sigma_threshold,
                                     std::size_t min_baseline,
                                     std::size_t hold_samples) {
   DR_EXPECTS(sigma_threshold > 0.0);
-  sigma_threshold_ = sigma_threshold;
   sigma_sq_ = sigma_threshold * sigma_threshold;
   min_baseline_ = min_baseline;
   hold_samples_ = hold_samples;

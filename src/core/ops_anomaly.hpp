@@ -22,7 +22,8 @@ namespace dynriver::core {
 
 /// saxanomaly: per audio Data record, forwards the original record and emits
 /// a parallel kSubtypeAnomalyScore record of smoothed per-sample scores.
-/// Scorer state resets at every clip OpenScope.
+/// Scorer state resets at every clip OpenScope. Like the sessions, it scores
+/// a NaN or ±inf sample as 0.0f; the forwarded record keeps the raw value.
 class SaxAnomalyOp final : public river::Operator {
  public:
   explicit SaxAnomalyOp(const ts::AnomalyParams& params);
@@ -94,13 +95,79 @@ class TriggerState {
     return false;
   }
 
+  /// Block twin of push(): feed n scores pulled from `next()`; `flip(j)`
+  /// marks each j whose output (active() after it) differs from the one
+  /// before. Bit-identical to n push() calls, with the state in locals and
+  /// the loop split by state, so the hot baseline loop (absorb until a
+  /// score exceeds the threshold) has one predictable exit.
+  template <typename Next, typename Flip>
+  void push_block(std::size_t n, Next&& next, Flip&& flip) {
+    const std::size_t min_baseline = min_baseline_;
+    const std::size_t hold = hold_samples_;
+    const double sigma_sq = sigma_sq_;
+    std::size_t count = count_;
+    double mean = mean_;
+    double m2 = m2_;
+    std::size_t below = below_count_;
+    bool active = active_;
+    const auto exceeds = [&](double d) {  // push()'s squared-space decision
+      return count >= min_baseline && d > 0.0 &&
+             d * d * static_cast<double>(count) > sigma_sq * m2;
+    };
+    const auto absorb = [&](double score, double d) {  // push()'s Welford
+      ++count;
+      mean += d * (1.0 / static_cast<double>(count));
+      m2 += d * (score - mean);
+    };
+    std::size_t j = 0;
+    // Warm-up zeros, then the first real score, which is absorbed: with no
+    // baseline yet it cannot exceed the threshold.
+    for (; j < n && !seen_nonzero_; ++j) {
+      const double score = next();
+      if (score == 0.0) continue;
+      seen_nonzero_ = true;
+      absorb(score, score - mean);
+    }
+    while (j < n) {
+      if (!active) {
+        for (; j < n; ++j) {
+          const double score = next();
+          const double d = score - mean;
+          if (exceeds(d)) break;
+          absorb(score, d);
+        }
+        if (j == n) break;
+        active = true;
+      } else {
+        for (; j < n; ++j) {
+          const double score = next();
+          const double d = score - mean;
+          if (exceeds(d)) {
+            below = 0;
+          } else if (below < hold) {
+            ++below;  // hold: bridge a brief lull, baseline untouched
+          } else {
+            absorb(score, d);
+            break;
+          }
+        }
+        if (j == n) break;
+        active = false;
+      }
+      below = 0;
+      flip(j++);
+    }
+    count_ = count;
+    mean_ = mean;
+    m2_ = m2;
+    below_count_ = below;
+    active_ = active;
+  }
+
   [[nodiscard]] double mu0() const { return mean_; }
   [[nodiscard]] double sigma0() const {
     return count_ < 2 ? 0.0
                       : std::sqrt(m2_ / static_cast<double>(count_));
-  }
-  [[nodiscard]] double threshold() const {
-    return mu0() + sigma_threshold_ * sigma0();
   }
   [[nodiscard]] bool active() const { return active_; }
   void reset();
@@ -113,8 +180,7 @@ class TriggerState {
                         std::size_t hold_samples);
 
  private:
-  double sigma_threshold_;
-  double sigma_sq_;  ///< sigma_threshold_^2, for the squared-space decision
+  double sigma_sq_;  ///< sigma_threshold^2, for the squared-space decision
   std::size_t min_baseline_;
   std::size_t hold_samples_;
   /// Inline Welford baseline (mu0/sigma0 over untriggered scores). Kept as
@@ -154,9 +220,10 @@ class TriggerOp final : public river::Operator {
 ///
 /// The pending/merge-gap/length-floor decisions are NOT implemented here:
 /// the operator delegates to detail::StreamCutter — the same automaton
-/// behind StreamSession — and only handles record pairing, clip scopes, and
-/// ensemble serialization. The operator pipeline and the sessions therefore
-/// cannot diverge (bit-identity is pinned by tests/test_core_ops.cpp).
+/// behind StreamSession, which cuts a NaN or ±inf sample as 0.0f — and only
+/// handles record pairing, clip scopes, and ensemble serialization. The
+/// operator pipeline and the sessions therefore cannot diverge
+/// (bit-identity is pinned by tests/test_core_ops.cpp).
 class CutterOp final : public river::Operator {
  public:
   explicit CutterOp(const PipelineParams& params);

@@ -76,14 +76,16 @@ struct SessionScheduler::Station {
 
   // Counters. samples_consumed is advanced in the same critical section
   // that dequeues a chunk (the identity `in == consumed + dropped + queued`
-  // is exact for every stats() reader at every instant); session_buffered is
-  // a cached copy of session state published after each processing pass —
-  // stats() never touches the session from a foreign thread.
+  // is exact for every stats() reader at every instant); session_buffered and
+  // samples_replaced are cached copies of session state published after
+  // each processing pass — stats() never touches the session from a
+  // foreign thread.
   std::size_t samples_in DR_GUARDED_BY(mu) = 0;
   std::size_t samples_dropped DR_GUARDED_BY(mu) = 0;
   std::size_t samples_consumed DR_GUARDED_BY(mu) = 0;
   std::size_t ensembles_out DR_GUARDED_BY(mu) = 0;
   std::size_t session_buffered DR_GUARDED_BY(mu) = 0;
+  std::size_t samples_replaced DR_GUARDED_BY(mu) = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -313,6 +315,7 @@ SessionScheduler::Visit SessionScheduler::process_station(Station& st) {
 
   const common::LockGuard lk(st.mu);
   st.session_buffered = st.session->buffered_samples();
+  st.samples_replaced = st.session->samples_replaced();
   if (close_now) {
     st.finished = true;
     st.scheduled = false;
@@ -457,6 +460,7 @@ SchedulerStats SessionScheduler::stats() const {
     s.ensembles_out = st.ensembles_out;
     s.queued_samples = st.queued_samples;
     s.session_buffered_samples = st.session_buffered;
+    s.samples_replaced = st.samples_replaced;
     s.finished = st.finished;
     out.stations.push_back(std::move(s));
   }

@@ -95,6 +95,8 @@ struct StationStats {
   std::size_t ensembles_out = 0;    ///< delivered to the sink
   std::size_t queued_samples = 0;   ///< current ingest-queue depth
   std::size_t session_buffered_samples = 0;  ///< open ensemble + gap + cuts
+  /// Non-finite samples the session read as 0.0f (the archive keeps them).
+  std::size_t samples_replaced = 0;
   bool finished = false;  ///< source/close seen, queue drained, sink finished
 };
 

@@ -4,6 +4,17 @@
 
 namespace dynriver::core::detail {
 
+namespace {
+/// Append src[0, len) to dst under ts::finite_or_zero.
+void append(std::vector<float>& dst, const float* src, std::size_t len) {
+  const std::size_t at = dst.size();
+  dst.insert(dst.end(), src, src + len);
+  for (std::size_t i = at; i < dst.size(); ++i) {
+    dst[i] = ts::finite_or_zero(dst[i]);
+  }
+}
+}  // namespace
+
 StreamCutter::StreamCutter(std::size_t channels, std::size_t merge_gap_samples,
                            std::size_t min_ensemble_samples)
     : channels_(channels),
@@ -32,7 +43,9 @@ void StreamCutter::open_run(std::size_t i) {
 
 void StreamCutter::step_triggered(std::size_t i, const float* frame) {
   open_run(i);
-  for (std::size_t c = 0; c < channels_; ++c) bufs_[c].push_back(frame[c]);
+  for (std::size_t c = 0; c < channels_; ++c) {
+    bufs_[c].push_back(ts::finite_or_zero(frame[c]));
+  }
 }
 
 void StreamCutter::step_run(bool trig, const float* const* channels,
@@ -41,8 +54,7 @@ void StreamCutter::step_run(bool trig, const float* const* channels,
   if (trig) {
     open_run(pos_);
     for (std::size_t c = 0; c < channels_; ++c) {
-      bufs_[c].insert(bufs_[c].end(), channels[c] + offset,
-                      channels[c] + offset + len);
+      append(bufs_[c], channels[c] + offset, len);
     }
   } else {
     if (cutting_) {
@@ -54,8 +66,7 @@ void StreamCutter::step_run(bool trig, const float* const* channels,
       // would finalize right there and ignore the rest of the quiet run.
       const std::size_t take = std::min(len, merge_gap_ + 1 - gaps_[0].size());
       for (std::size_t c = 0; c < channels_; ++c) {
-        gaps_[c].insert(gaps_[c].end(), channels[c] + offset,
-                        channels[c] + offset + take);
+        append(gaps_[c], channels[c] + offset, take);
       }
       if (gaps_[0].size() > merge_gap_) finalize();
     }

@@ -8,12 +8,18 @@
 // operator CutterOp both delegate to it, so the operator path and the
 // sessions cannot diverge (tests/test_core_ops.cpp proves them
 // bit-identical under every chunking).
+//
+// Every sample it buffers goes through ts::finite_or_zero, the rule the
+// scorer applies to what it symbolizes: a NaN or ±inf sample never reaches
+// an ensemble, features or MESO.
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <optional>
 #include <vector>
+
+#include "ts/anomaly.hpp"
 
 namespace dynriver::core::detail {
 
@@ -41,7 +47,7 @@ class StreamCutter {
     }
     if (pending_) {
       for (std::size_t c = 0; c < channels_; ++c) {
-        gaps_[c].push_back(frame[c]);
+        gaps_[c].push_back(ts::finite_or_zero(frame[c]));
       }
       // Gap too wide to merge: the ensemble's fate is decided now, so it
       // emits immediately instead of waiting for end of stream.

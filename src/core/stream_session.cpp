@@ -66,8 +66,7 @@ MultiStreamSession::MultiStreamSession(
       cutter_(channels, params_.base.merge_gap_samples,
               params_.base.min_ensemble_samples),
       tap_(options_.tap_capacity),
-      channel_data_(channels),
-      score_data_(channels) {
+      channel_data_(channels) {
   DR_EXPECTS(channels >= 1);
   params_.base.validate();
   scorers_.reserve(channels);
@@ -77,10 +76,9 @@ MultiStreamSession::MultiStreamSession(
 }
 
 namespace {
-/// Samples scored per batched block inside the extraction loop: large
-/// enough to amortize the scorer's batch entry (whole energy frames, one
-/// push_run per frame), small enough that the score scratch stays cache-hot
-/// (32 KiB of doubles per channel) next to the input block.
+/// Samples scored per batched block when the scores are fused or observed:
+/// small enough that the score scratch stays cache-hot (32 KiB of doubles
+/// per channel) next to the input block.
 constexpr std::size_t kScoreBlock = 4096;
 }  // namespace
 
@@ -110,67 +108,78 @@ void MultiStreamSession::extract_frames(
     std::span<const std::span<const float>> chunks, std::size_t offset,
     std::size_t n) {
   if (n == 0) return;
-  // Each channel's scorer runs block-batched into its slice of the shared
-  // scratch (whole energy frames fold through the dsp::simd kernels —
-  // bit-identical to per-sample pushes, and the scorers are independent
-  // automata); fusion, trigger and cutter then consume the block. Memory
-  // stays O(channels * block) for any chunk size.
   const std::size_t ch = channels();
-  if (score_block_.empty()) {
-    score_block_.resize(ch * kScoreBlock);
-    for (std::size_t c = 0; c < ch; ++c) {
-      score_data_[c] = score_block_.data() + c * kScoreBlock;
-    }
-  }
   for (std::size_t c = 0; c < ch; ++c) {
     channel_data_[c] = chunks[c].data() + offset;
   }
   const float* const* data = channel_data_.data();
-  const double* const* scores = score_data_.data();
-  ts::StreamingAnomalyScorer* scorers = scorers_.data();
-  // Observer flags are hoisted; the cutter is fed whole trigger runs in bulk
-  // (trigger runs are thousands of samples long, so its per-sample branches
-  // never run here). `run_trig`/`run_start` carry the open trigger run
-  // across blocks (indices relative to `data`).
-  const bool observed = tap_.enabled() || options_.on_signal != nullptr;
-  const bool fuse_max = params_.fusion == ScoreFusion::kMax;
-
-  bool run_trig = false;
+  // The cutter is fed whole trigger runs in bulk (trigger runs are
+  // thousands of samples long, so its per-sample branches never run here).
+  // `run_trig`/`run_start` carry the open trigger run across blocks
+  // (indices relative to `data`); flip(i) closes it at a trigger edge.
+  bool run_trig = trigger_.active();
   std::size_t run_start = 0;
-  for (std::size_t base = 0; base < n; base += kScoreBlock) {
-    const std::size_t m = std::min(kScoreBlock, n - base);
-    for (std::size_t c = 0; c < ch; ++c) {
-      scorers[c].push_batch(data[c] + base, m,
-                            score_block_.data() + c * kScoreBlock);
-    }
-    // The per-sample fusion fold stays inside the trigger loop on purpose: a
-    // separate SIMD max/mean pass over the block was measured slower — the
-    // extra fused-score buffer traffic does not overlap anything, while
-    // these few scalar ops hide entirely under the trigger's serial Welford
-    // chain. The fold is seeded from channel 0 and reads channels 1..C-1 in
-    // fixed order, so at C = 1 the fused score is the channel's own score.
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t i = base + j;
-      double fused = scores[0][j];
-      if (fuse_max) {
-        for (std::size_t c = 1; c < ch; ++c) {
-          fused = std::max(fused, scores[c][j]);
-        }
-      } else {
-        for (std::size_t c = 1; c < ch; ++c) fused += scores[c][j];
-        fused /= static_cast<double>(ch);
+  const auto flip = [&](std::size_t i) {
+    cutter_.step_run(run_trig, data, run_start, i - run_start);
+    run_trig = !run_trig;
+    run_start = i;
+  };
+  const bool observed = tap_.enabled() || options_.on_signal != nullptr;
+
+  if (ch == 1 && !observed) {
+    // One unobserved channel (every scheduler station): its smoothed score
+    // is the fused score, and the scorer's kernel hands each one straight
+    // to the trigger's state-split block loop — no score block is written.
+    std::size_t base = 0;
+    scorers_[0].push_block(
+        data[0], n,
+        [&](ts::StreamingAnomalyScorer::Cursor& cursor, std::size_t m) {
+          trigger_.push_block(
+              m, [&cursor] { return cursor.next(); },
+              [&](std::size_t j) { flip(base + j); });
+          base += m;
+        });
+  } else {
+    // Each channel's scorer writes its scores into its slice of the shared
+    // scratch; fusion, trigger and the observers then consume the block.
+    // Memory stays O(channels * block) for any chunk size.
+    if (score_block_.empty()) score_block_.resize(ch * kScoreBlock);
+    const double* scores = score_block_.data();
+    const bool fuse_max = params_.fusion == ScoreFusion::kMax;
+    for (std::size_t base = 0; base < n; base += kScoreBlock) {
+      const std::size_t m = std::min(kScoreBlock, n - base);
+      for (std::size_t c = 0; c < ch; ++c) {
+        scorers_[c].push_batch(data[c] + base, m,
+                               score_block_.data() + c * kScoreBlock);
       }
-      const bool trig = trigger_.push(fused);
-      if (observed) {
-        if (tap_.enabled()) tap_.push(static_cast<float>(fused), trig);
-        if (options_.on_signal) {
-          options_.on_signal(consumed_ + i, static_cast<float>(fused), trig);
+      // The per-sample fusion fold stays inside the trigger loop on
+      // purpose: a separate SIMD max/mean pass over the block was measured
+      // slower — the extra fused-score buffer traffic does not overlap
+      // anything, while these few scalar ops hide entirely under the
+      // trigger's serial Welford chain. The fold is seeded from channel 0
+      // and reads channels 1..C-1 in fixed order, so at C = 1 the fused
+      // score is the channel's own score.
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::size_t i = base + j;
+        double fused = scores[j];
+        if (fuse_max) {
+          for (std::size_t c = 1; c < ch; ++c) {
+            fused = std::max(fused, scores[c * kScoreBlock + j]);
+          }
+        } else {
+          for (std::size_t c = 1; c < ch; ++c) {
+            fused += scores[c * kScoreBlock + j];
+          }
+          fused /= static_cast<double>(ch);
         }
-      }
-      if (trig != run_trig) {
-        cutter_.step_run(run_trig, data, run_start, i - run_start);
-        run_trig = trig;
-        run_start = i;
+        const bool trig = trigger_.push(fused);
+        if (observed) {
+          if (tap_.enabled()) tap_.push(static_cast<float>(fused), trig);
+          if (options_.on_signal) {
+            options_.on_signal(consumed_ + i, static_cast<float>(fused), trig);
+          }
+        }
+        if (trig != run_trig) flip(i);
       }
     }
   }
@@ -225,6 +234,12 @@ void MultiStreamSession::reset() {
   tap_.reset();
   consumed_ = 0;
   if (pending_params_) apply_reconfigure();
+}
+
+std::size_t MultiStreamSession::samples_replaced() const {
+  std::size_t total = 0;
+  for (const auto& scorer : scorers_) total += scorer.samples_replaced();
+  return total;
 }
 
 std::vector<std::vector<std::vector<float>>> MultiStreamSession::featurize(

@@ -156,6 +156,8 @@ class MultiStreamSession {
 
   [[nodiscard]] std::size_t channels() const { return scorers_.size(); }
   [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
+  /// Non-finite samples read as 0.0f (ts::finite_or_zero), all channels.
+  [[nodiscard]] std::size_t samples_replaced() const;
   /// Per-channel samples currently buffered inside the session (open
   /// ensemble + merge gap + undrained ensembles). Bounded for any stream
   /// length.
@@ -186,9 +188,8 @@ class MultiStreamSession {
   SignalTap tap_;
   std::size_t consumed_ = 0;
   std::vector<const float*> channel_data_;   ///< hoisted chunk pointers
-  std::vector<const double*> score_data_;    ///< hoisted score pointers
   /// Per-channel scratch blocks for the scorers' batched scores (flat,
-  /// channels x block) — push() stays O(channels * block) memory.
+  /// channels x block), allocated once scores are fused or observed.
   std::vector<double> score_block_;
   /// Parameters adopted at the next ensemble boundary (live reconfigure).
   std::optional<PipelineParams> pending_params_;
@@ -230,6 +231,9 @@ class StreamSession {
 
   [[nodiscard]] std::size_t samples_consumed() const {
     return session_.samples_consumed();
+  }
+  [[nodiscard]] std::size_t samples_replaced() const {
+    return session_.samples_replaced();
   }
   [[nodiscard]] std::size_t buffered_samples() const {
     return session_.buffered_samples();

@@ -354,15 +354,16 @@ void SegmentedRecordLog::append(const Record& rec, double t) {
   }
   if (active_.file == nullptr) open_active();
 
-  const auto frame =
-      encode_record(rec, options_.pack_payloads ? PayloadCodec::kPacked
-                                                : PayloadCodec::kRaw);
-  DR_EXPECTS(frame.size() <= kMaxSegmentFrameBytes);
-  const auto len = static_cast<std::uint32_t>(frame.size());
+  encode_record_into(rec,
+                     options_.pack_payloads ? PayloadCodec::kPacked
+                                            : PayloadCodec::kRaw,
+                     frame_);
+  DR_EXPECTS(frame_.size() <= kMaxSegmentFrameBytes);
+  const auto len = static_cast<std::uint32_t>(frame_.size());
   std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
   put_raw<std::uint32_t>(env.data(), len);
   put_raw<double>(env.data() + 4, t);
-  if (!active_.write(env.data(), frame.data(), len, t,
+  if (!active_.write(env.data(), frame_.data(), len, t,
                      options_.index_every_bytes)) {
     throw std::runtime_error("segment append failed in " + dir_.string());
   }

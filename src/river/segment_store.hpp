@@ -289,6 +289,9 @@ class SegmentedRecordLog {
   double last_t_ DR_GUARDED_BY(mu_) =
       -std::numeric_limits<double>::infinity();
   std::size_t written_ DR_GUARDED_BY(mu_) = 0;
+  /// append()'s encode buffer, reused so an append allocates nothing once
+  /// it has grown to the stream's frame size.
+  std::vector<std::uint8_t> frame_ DR_GUARDED_BY(mu_);
   std::size_t recovered_ DR_GUARDED_BY(mu_) = 0;
   bool closed_ DR_GUARDED_BY(mu_) = false;
 };

@@ -119,6 +119,13 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len, std::uint32_t see
 
 std::vector<std::uint8_t> encode_record(const Record& rec, PayloadCodec codec) {
   std::vector<std::uint8_t> out;
+  encode_record_into(rec, codec, out);
+  return out;
+}
+
+void encode_record_into(const Record& rec, PayloadCodec codec,
+                        std::vector<std::uint8_t>& out) {
+  out.clear();
   out.reserve(64 + rec.payload_bytes());
 
   const bool pack = codec == PayloadCodec::kPacked && rec.is_float();
@@ -186,7 +193,6 @@ std::vector<std::uint8_t> encode_record(const Record& rec, PayloadCodec codec) {
 
   const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
   put<std::uint32_t>(out, crc);
-  return out;
 }
 
 RecordView decode_record_view(const std::uint8_t* data, std::size_t len,

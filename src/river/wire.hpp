@@ -85,6 +85,10 @@ enum class PayloadCodec : std::uint8_t {
 /// Serialize a record into a self-delimiting byte frame.
 [[nodiscard]] std::vector<std::uint8_t> encode_record(
     const Record& rec, PayloadCodec codec = PayloadCodec::kRaw);
+/// Same bytes, written into `out` (cleared first) so an appender can reuse
+/// one buffer: no allocation once it has grown to the stream's frame size.
+void encode_record_into(const Record& rec, PayloadCodec codec,
+                        std::vector<std::uint8_t>& out);
 
 /// Decode one record from a buffer. `consumed` receives the frame size.
 /// Throws WireError on malformed input.

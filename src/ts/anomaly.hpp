@@ -15,11 +15,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
-#include "common/stats.hpp"
-#include "ts/bitmap.hpp"
+#include "ts/sax.hpp"
 #include "ts/znorm.hpp"
 
 namespace dynriver::ts {
@@ -42,50 +41,117 @@ struct AnomalyParams {
   friend bool operator==(const AnomalyParams&, const AnomalyParams&) = default;
 };
 
-/// Streaming scorer: one call per sample, O(1) amortized per call — the
-/// lag/lead bitmap distance is maintained incrementally (see push_symbol_value)
-/// instead of being recomputed over all alphabet^level cells per symbol.
+/// The sample-hygiene rule of every extraction path: a NaN or ±inf sample
+/// reads as 0.0f (finite values, denormals included, pass unchanged). The
+/// scorer applies it to what it symbolizes and the cutter to what it cuts,
+/// so one bad sample costs a blip, not the rest of the stream.
+[[nodiscard]] inline float finite_or_zero(float x) {
+  return std::isfinite(x) ? x : 0.0F;
+}
+
+/// Streaming scorer: O(1) amortized per sample — the lag/lead bitmap
+/// distance is maintained incrementally (see push_symbol_value) instead of
+/// being recomputed over all alphabet^level cells per symbol.
+///
+/// One block kernel, push_block(), drives every entry point. Its frame pass
+/// folds each whole frame into its raw bitmap score; then one loop smooths
+/// each sample and hands the smoothed score straight to the caller's
+/// consumer, so no score block is written unless the consumer writes one.
 class StreamingAnomalyScorer {
  public:
   explicit StreamingAnomalyScorer(const AnomalyParams& params);
 
-  /// Feed one raw sample; returns the *smoothed* anomaly score aligned with
-  /// this sample (0 until both windows have filled).
-  ///
-  /// Header-inline: in energy mode (frame > 1, the pipeline default) all
-  /// but one of every `frame` samples only buffer the sample and smooth —
-  /// fusing that fast path into the sessions' scoring loops removes two
-  /// outlined calls per sample (measurable on multi-stream extraction);
-  /// the once-per-frame symbol/bitmap work stays outlined. Frame energy is
-  /// computed by the dsp::simd windowed-energy kernel over the buffered
-  /// frame — the same kernel push_batch() folds over whole frames in the
-  /// input, which is what makes the two paths bit-identical.
-  double push(float sample) {
-    if (params_.frame == 1) {
-      // Classic SAX texture: symbolize the raw sample value.
-      push_symbol_value(sample);
-    } else {
-      // Energy mode: one symbol per frame, encoding log-RMS energy.
-      frame_buf_[frame_fill_] = sample;
-      if (++frame_fill_ == params_.frame) complete_frame();
+  /// The smoothing state, held in the caller's locals for one block.
+  /// next() is the moving-average step of the next sample: drop the evicted
+  /// raw score, add the sample's, multiply by the cached reciprocal — the
+  /// sample-ring arithmetic in its order, so bit-identical to a per-sample
+  /// moving average. Raw scores change once per frame, so the window's
+  /// history is a ring of per-frame scores (slot k mod cap: after frame k).
+  class Cursor {
+   public:
+    double next() {
+      if (++fill_ == frame_) {  // this sample completes a frame
+        fill_ = 0;
+        x_ = *raw_++;
+        if (++slot_ == cap_) slot_ = 0;
+        ring_[slot_] = x_;
+      }
+      if (size_ == window_) {
+        // The evicted sample (W back) completes its frame exactly when
+        // this one sits at phase W mod frame.
+        if (fill_ == evict_phase_ && ++evict_ == cap_) evict_ = 0;
+        sum_ -= ring_[evict_];
+      } else {
+        // The divide only happens while the window fills; afterwards every
+        // step is a multiply by the cached reciprocal.
+        ++size_;
+        inv_ = 1.0 / static_cast<double>(size_);
+      }
+      sum_ += x_;
+      return sum_ * inv_;
     }
-    return ma_.push(raw_score_);
+
+   private:
+    friend class StreamingAnomalyScorer;
+    const double* raw_ = nullptr;  ///< scores of the frames the block ends
+    double* ring_ = nullptr;
+    std::size_t frame_ = 1, cap_ = 1, window_ = 1, evict_phase_ = 0;
+    std::size_t fill_ = 0, slot_ = 0, evict_ = 0, size_ = 0;
+    double x_ = 0.0, sum_ = 0.0, inv_ = 0.0;
+  };
+
+  /// The block kernel: score x[0, n) and pass the n smoothed scores, in
+  /// order, to `consume(Cursor& cursor, std::size_t m)`, which must call
+  /// cursor.next() exactly m times (the m sum to n). The consumer is
+  /// inlined, so a caller fusing its own per-sample work (the session's
+  /// trigger) keeps all state in registers. Bit-identical for every
+  /// chunking down to single samples.
+  template <typename Consumer>
+  void push_block(const float* x, std::size_t n, Consumer&& consume) {
+    while (n != 0) {
+      smoothing_.fill_ = frame_fill_;
+      const std::size_t m = fold_frames(x, n);
+      Cursor cursor = smoothing_;
+      cursor.raw_ = raw_block_.data();
+      cursor.ring_ = ring_.data();
+      consume(cursor, m);
+      smoothing_ = cursor;
+      x += m;
+      n -= m;
+    }
   }
 
-  /// Feed n samples, writing the n smoothed scores to out — the same state
-  /// machine as n push() calls (bit-identical for every chunking down to
-  /// single samples), but whole frames fold through the dsp::simd energy
-  /// kernel directly on the caller's buffer and the smoothing of unchanged
-  /// raw scores runs through MovingAverage::push_run's hoisted loop.
-  void push_batch(const float* x, std::size_t n, double* out);
-  /// Same, casting each score to float (the record-pipeline layout).
-  void push_batch(const float* x, std::size_t n, float* out);
+  /// Feed one raw sample; returns the *smoothed* anomaly score aligned with
+  /// this sample (0 until both windows have filled).
+  double push(float sample) {
+    double score = 0.0;
+    push_block(&sample, 1, [&score](Cursor& cursor, std::size_t) {
+      score = cursor.next();
+    });
+    return score;
+  }
+
+  /// Feed n samples, writing the n smoothed scores to out (double, or float
+  /// for the record-pipeline layout).
+  template <typename Out>
+  void push_batch(const float* x, std::size_t n, Out* out) {
+    push_block(x, n, [&out](Cursor& cursor, std::size_t m) {
+      for (std::size_t j = 0; j < m; ++j) {
+        *out++ = static_cast<Out>(cursor.next());
+      }
+    });
+  }
 
   /// Last unsmoothed bitmap distance.
   [[nodiscard]] double raw_score() const { return raw_score_; }
 
   /// True once lag and lead windows are both full.
-  [[nodiscard]] bool warmed_up() const;
+  [[nodiscard]] bool warmed_up() const {
+    return lag_total_ == grams_per_window_ && lead_total_ == grams_per_window_;
+  }
+
+  /// Non-finite samples read as 0.0f since construction or reset().
+  [[nodiscard]] std::size_t samples_replaced() const { return replaced_; }
 
   [[nodiscard]] const AnomalyParams& params() const { return params_; }
 
@@ -93,47 +159,61 @@ class StreamingAnomalyScorer {
   void reset();
 
  private:
+  /// Frames completed per fold_frames() call: bounds raw_block_.
+  static constexpr std::size_t kFrameBlock = 256;
+
+  /// The frame pass: consume a prefix of x[0, n) — a buffered frame's
+  /// remainder, up to kFrameBlock frame completions in all, and a final
+  /// partial frame — writing each completed frame's raw score to
+  /// raw_block_ in order. Returns the samples consumed (at least 1).
+  std::size_t fold_frames(const float* x, std::size_t n);
+  /// Append x[0, n) to the partial frame, applying finite_or_zero.
+  void buffer_samples(const float* x, std::size_t n);
   void push_symbol_value(float value);
-  /// Energy mode, frame full: kernel-fold the buffered frame into its
-  /// energy and emit the log-RMS symbol.
-  void complete_frame();
-  /// Symbolize a frame whose energy (sum of squares) is already folded.
-  void complete_frame_energy(double energy);
-  template <typename Out>
-  void push_batch_impl(const float* x, std::size_t n, Out* out);
   /// Shift cell's (lag count - lead count) by delta, keeping the integer
   /// squared-difference sum exact.
-  void cell_delta(std::size_t cell, std::int64_t delta);
+  void cell_delta(std::size_t cell, std::int64_t delta) {
+    // (d + delta)^2 - d^2 = delta * (2d + delta), all in exact integers.
+    std::int64_t& d = diff_[cell];
+    sq_sum_ += delta * (2 * d + delta);
+    d += delta;
+  }
 
   AnomalyParams params_;
   std::vector<double> breakpoints_;
   StreamingZnorm znorm_;
-  std::deque<Symbol> symbols_;       // last `level-1` symbols for gram forming
-  std::deque<std::size_t> cells_;    // gram cells, oldest first
-  SaxBitmap lag_;
-  SaxBitmap lead_;
-  MovingAverage ma_;
   std::size_t grams_per_window_;
+  std::size_t top_weight_ = 1;  ///< alphabet^(level-1): oldest symbol's weight
+  std::size_t gram_ = 0;       ///< rolling cell index of the newest gram
+  std::size_t history_ = 0;    ///< recent symbols, one byte each, newest low
+  std::size_t symbols_ = 0;    ///< symbols seen, saturating at level
+  // Gram cells of both windows, oldest first: a ring of 2 windows + 1.
+  std::vector<std::size_t> cells_;
+  std::size_t cells_head_ = 0;
+  std::size_t cells_size_ = 0;
+  std::size_t lag_total_ = 0;
+  std::size_t lead_total_ = 0;
   // Incremental distance state: diff_[c] = lag count - lead count of cell c,
   // sq_sum_ = sum of diff^2 — both exact integers, so the incremental score
   // never drifts from a full recomputation no matter how long the stream.
   std::vector<std::int64_t> diff_;
   std::int64_t sq_sum_ = 0;
   double raw_score_ = 0.0;
-  // Frame aggregation state (frame > 1): samples of the partially filled
-  // frame, buffered so the energy fold runs through the same dsp::simd
-  // kernel (same operation order) whether samples arrive one at a time or
-  // as a whole frame inside push_batch.
+  std::size_t replaced_ = 0;
+  // Samples of the partially filled frame (or of a frame re-folded after a
+  // non-finite sample), buffered so the energy fold runs through the same
+  // dsp::simd kernel (same operation order) whether a frame arrives whole
+  // or in pieces across calls.
   std::vector<float> frame_buf_;
   std::size_t frame_fill_ = 0;
+  std::vector<double> raw_block_;  ///< kFrameBlock frame scores
+  /// The per-frame score ring: ceil(ma_window / frame) + 1 slots.
+  std::vector<double> ring_;
+  Cursor smoothing_;  ///< the smoothing state between blocks
 };
 
 /// Batch convenience: smoothed score per sample (same length as input).
 [[nodiscard]] std::vector<double> anomaly_scores(std::span<const float> series,
                                                  const AnomalyParams& params);
-
-/// Batch convenience: raw (unsmoothed) score per sample.
-[[nodiscard]] std::vector<double> raw_anomaly_scores(std::span<const float> series,
-                                                     const AnomalyParams& params);
 
 }  // namespace dynriver::ts

@@ -55,16 +55,6 @@ std::vector<double> sax_breakpoints(std::size_t alphabet) {
   return breaks;
 }
 
-Symbol discretize_value(double normalized, std::span<const double> breakpoints) {
-  // Branchless count of breakpoints <= value: for sorted breakpoints this is
-  // exactly the index the "scan until value < breakpoint" search returns,
-  // without the unpredictable early-exit branch (values land on either side
-  // of the middle breakpoints by construction of the Gaussian bins).
-  unsigned sym = 0;
-  for (const double b : breakpoints) sym += normalized >= b ? 1U : 0U;
-  return static_cast<Symbol>(sym);
-}
-
 std::vector<Symbol> discretize(std::span<const float> normalized,
                                std::span<const double> breakpoints) {
   std::vector<Symbol> out(normalized.size());

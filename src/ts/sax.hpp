@@ -29,9 +29,18 @@ using Symbol = std::uint8_t;
 [[nodiscard]] std::vector<Symbol> discretize(std::span<const float> normalized,
                                              std::span<const double> breakpoints);
 
-/// One-value discretization (streaming use).
-[[nodiscard]] Symbol discretize_value(double normalized,
-                                      std::span<const double> breakpoints);
+/// One-value discretization (streaming use). Branchless count of
+/// breakpoints <= value: for sorted breakpoints this is exactly the index
+/// the "scan until value < breakpoint" search returns, without the
+/// unpredictable early-exit branch (values land on either side of the
+/// middle breakpoints by construction of the Gaussian bins). Header-inline:
+/// the anomaly scorer's frame pass runs it once per symbol.
+[[nodiscard]] inline Symbol discretize_value(
+    double normalized, std::span<const double> breakpoints) {
+  unsigned sym = 0;
+  for (const double b : breakpoints) sym += normalized >= b ? 1U : 0U;
+  return static_cast<Symbol>(sym);
+}
 
 struct SaxParams {
   std::size_t segments = 0;  ///< PAA segments (0 = one symbol per sample)

@@ -29,21 +29,6 @@ void znormalize_inplace(std::span<float> series) {
                            static_cast<float>(1.0 / sigma));
 }
 
-float StreamingZnorm::push(float x) {
-  ++count_;
-  const double delta = static_cast<double>(x) - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (static_cast<double>(x) - mean_);
-  const double sigma = stddev();
-  if (count_ < 2 || sigma < kZnormEpsilon) return 0.0F;
-  return static_cast<float>((static_cast<double>(x) - mean_) / sigma);
-}
-
-double StreamingZnorm::stddev() const {
-  if (count_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(count_));
-}
-
 void StreamingZnorm::reset() {
   count_ = 0;
   mean_ = 0.0;

@@ -6,6 +6,7 @@
 // signal strength".
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -26,11 +27,23 @@ void znormalize_inplace(std::span<float> series);
 class StreamingZnorm {
  public:
   /// Observe a sample and return its normalized value. Until enough samples
-  /// have arrived to estimate spread (2 samples), returns 0.
-  float push(float x);
+  /// have arrived to estimate spread (2 samples), returns 0. Header-inline:
+  /// the anomaly scorer's frame pass runs it once per symbol.
+  float push(float x) {
+    ++count_;
+    const double delta = static_cast<double>(x) - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (static_cast<double>(x) - mean_);
+    const double sigma = stddev();
+    if (count_ < 2 || sigma < kZnormEpsilon) return 0.0F;
+    return static_cast<float>((static_cast<double>(x) - mean_) / sigma);
+  }
 
   [[nodiscard]] double mean() const { return mean_; }
-  [[nodiscard]] double stddev() const;
+  [[nodiscard]] double stddev() const {
+    if (count_ < 2) return 0.0;
+    return std::sqrt(m2_ / static_cast<double>(count_));
+  }
   [[nodiscard]] std::size_t count() const { return count_; }
   void reset();
 

@@ -14,8 +14,9 @@
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
+#include "moving_average.hpp"
 
-using dynriver::MovingAverage;
+using dynriver::testsupport::MovingAverage;
 using dynriver::Rng;
 using dynriver::RunningStats;
 

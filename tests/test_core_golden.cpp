@@ -8,14 +8,19 @@
 // an onset by a handful of samples, never by a syllable.
 //
 // The cross-path digest below is exact instead: within one build, every
-// extraction path (live session at any chunking, batch facade, operator
-// pipeline, 1-channel multi-stream session, scheduler lanes, packed and raw
-// archive replay) must hash to the same ensembles and score/trigger series. No hash
+// extraction path (live session at any chunking, tapped or not, batch
+// facade, operator pipeline, 1-channel multi-stream session, scheduler
+// lanes, packed and raw archive replay) must hash to the same ensembles and
+// score/trigger series — on a stream with NaN, ±inf and denormal bursts
+// too, which every path reads under the same sample-hygiene rule. No hash
 // constant is committed -- the reference is recomputed per build, for the
 // same compiler-drift reason as the boundary tolerance above.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "core/birdsong.hpp"
@@ -211,6 +216,37 @@ Digest live_session(std::span<const float> xs, std::size_t chunk) {
   return {hash_ensembles(got), hash_signals(session.tap())};
 }
 
+/// The untapped live session (the fused scorer -> trigger loop) in
+/// `chunk`-sized pushes: ensembles only, it keeps no series.
+std::uint64_t untapped_session(std::span<const float> xs, std::size_t chunk) {
+  core::StreamSession session{core::PipelineParams{}};
+  std::vector<river::Ensemble> got;
+  for (std::size_t pos = 0; pos < xs.size(); pos += chunk) {
+    session.push(xs.subspan(pos, std::min(chunk, xs.size() - pos)));
+    for (auto& e : session.drain()) got.push_back(std::move(e));
+  }
+  for (auto& e : session.finish()) got.push_back(std::move(e));
+  return hash_ensembles(got);
+}
+
+/// Noise with bursts, salted with NaN (one with a payload), ±inf and
+/// denormal bursts: before the first ensemble, inside open ensembles and
+/// in a merge gap.
+std::vector<float> non_finite_fixture() {
+  auto xs = testsupport::noise_with_bursts(120000, 30000, 40000, 13);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 10000; i < 10010; ++i) xs[i] = nan;
+  for (std::size_t i = 35000; i < 35005; ++i) xs[i] = inf;
+  for (std::size_t i = 52000; i < 52003; ++i) xs[i] = -inf;
+  xs[61001] = std::bit_cast<float>(0x7FA00001U);  // NaN with a payload
+  for (std::size_t i = 80000; i < 80100; ++i) xs[i] = 1e-41F;  // denormal
+  for (std::size_t i = 90000; i < 90050; ++i) {
+    xs[i] = i % 3 == 0 ? nan : (i % 3 == 1 ? inf : -inf);
+  }
+  return xs;
+}
+
 Digest multi_session(std::span<const float> xs, core::ScoreFusion fusion) {
   core::MultiStreamParams params;
   params.fusion = fusion;
@@ -295,11 +331,13 @@ void expect_same(const Digest& got, const Digest& want, const char* path) {
 }  // namespace
 
 TEST(GoldenExtraction, CrossPathDigestAgrees) {
-  // Fixtures: the golden station clip and one synthetic noise-with-bursts
-  // stream, both under the paper's parameters.
+  // Fixtures: the golden station clip, one synthetic noise-with-bursts
+  // stream and one salted with non-finite and denormal bursts, all under
+  // the paper's parameters.
   std::vector<std::vector<float>> fixtures;
   fixtures.push_back(golden_clip().clip.samples);
   fixtures.push_back(testsupport::noise_with_bursts(120000, 30000, 40000, 7));
+  fixtures.push_back(non_finite_fixture());
 
   std::vector<Digest> reference;
   for (const auto& xs : fixtures) {
@@ -308,6 +346,9 @@ TEST(GoldenExtraction, CrossPathDigestAgrees) {
     const auto batch = core::EnsembleExtractor(core::PipelineParams{})
                            .extract(xs, /*keep_signals=*/true);
     ASSERT_FALSE(batch.ensembles.empty()) << "fixture must exercise the cutter";
+    for (const auto& e : batch.ensembles) {
+      for (const float v : e.samples) ASSERT_TRUE(std::isfinite(v));
+    }
     const Digest want{hash_ensembles(batch.ensembles), hash_signals(batch)};
     reference.push_back(want);
 
@@ -315,6 +356,11 @@ TEST(GoldenExtraction, CrossPathDigestAgrees) {
          {std::size_t{1}, std::size_t{900}, std::size_t{0}}) {
       SCOPED_TRACE(testing::Message() << "chunk=" << chunk);
       expect_same(live_session(xs, chunk), want, "live session");
+    }
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{900}}) {
+      SCOPED_TRACE(testing::Message() << "chunk=" << chunk);
+      EXPECT_EQ(untapped_session(xs, chunk), want.ensembles)
+          << "untapped live session: ensembles differ";
     }
     EXPECT_EQ(operator_pipeline(xs), want.ensembles)
         << "operator pipeline: ensembles differ";

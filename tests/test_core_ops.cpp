@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <random>
 #include <span>
 
 #include "core/birdsong.hpp"
@@ -151,6 +152,55 @@ TEST(TriggerState, HoldBridgesShortDips) {
   EXPECT_TRUE(state.push(0.1));
   // Hold exhausted: releases.
   EXPECT_FALSE(state.push(0.1));
+}
+
+TEST(TriggerState, PushBlockMatchesPushOnSpikyScores) {
+  // The session's state-split block loop against the per-sample push():
+  // spiky scores with dips (every hold outcome: bridged, exhausted,
+  // re-fired right after a release), leading zeros, every block size
+  // from 1 up, and a threshold re-tune between blocks.
+  std::mt19937 gen(99);
+  std::uniform_real_distribution<double> base(0.1, 0.2);
+  std::vector<double> scores(40, 0.0);
+  for (std::size_t i = 0; scores.size() < 20000; ++i) {
+    const bool spike = (i / 40) % 5 == 4 && gen() % 4 != 0;
+    scores.push_back(spike ? 5.0 + base(gen) : base(gen));
+  }
+  for (const std::size_t hold : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{3}}) {
+    for (const std::size_t block : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{7}, std::size_t{500}}) {
+      core::TriggerState want(3.0, 30, hold);
+      core::TriggerState got(3.0, 30, hold);
+      std::vector<std::uint8_t> want_out;
+      std::vector<std::uint8_t> got_out;
+      bool out = false;
+      for (std::size_t pos = 0; pos < scores.size(); pos += block) {
+        if (pos == 10000) {
+          want.set_thresholding(2.5, 30, hold + 1);
+          got.set_thresholding(2.5, 30, hold + 1);
+        }
+        const std::size_t n = std::min(block, scores.size() - pos);
+        std::size_t next = pos;
+        std::size_t done = pos;
+        got.push_block(
+            n, [&] { return scores[next++]; },
+            [&](std::size_t j) {
+              got_out.insert(got_out.end(), pos + j - done, out ? 1 : 0);
+              done = pos + j;
+              out = !out;
+            });
+        got_out.insert(got_out.end(), pos + n - done, out ? 1 : 0);
+        ASSERT_EQ(out, got.active());
+        for (std::size_t i = pos; i < pos + n; ++i) {
+          want_out.push_back(want.push(scores[i]) ? 1 : 0);
+        }
+      }
+      ASSERT_EQ(got_out, want_out) << "hold=" << hold << " block=" << block;
+      EXPECT_EQ(got.mu0(), want.mu0());
+      EXPECT_EQ(got.sigma0(), want.sigma0());
+    }
+  }
 }
 
 TEST(ResliceOp, InsertsOverlapRecords) {

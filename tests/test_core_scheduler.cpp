@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -151,6 +152,34 @@ TEST(SessionScheduler, MultiStationBitIdenticalToDirectExtraction) {
   }
   EXPECT_EQ(stats.total_samples_dropped(), 0U);
   EXPECT_GT(stats.rounds, 0U);
+}
+
+TEST(SessionScheduler, StationStatsCountReplacedSamples) {
+  // Non-finite samples are counted per station, and the station extracts
+  // exactly what a session fed the cleaned stream extracts.
+  const auto params = small_params();
+  auto xs = random_signal_with_events(60000, 7);
+  std::vector<float> cleaned = xs;
+  for (const std::size_t at : {std::size_t{900}, std::size_t{16000},
+                               std::size_t{16001}, std::size_t{41000}}) {
+    xs[at] = at % 2 == 0 ? std::numeric_limits<float>::quiet_NaN()
+                         : -std::numeric_limits<float>::infinity();
+    cleaned[at] = 0.0F;
+  }
+  const auto want = core::EnsembleExtractor(params).extract(cleaned).ensembles;
+  ASSERT_FALSE(want.empty());
+
+  core::SessionScheduler scheduler(core::SchedulerOptions{});
+  core::StationConfig config;
+  config.params = params;
+  config.read_chunk_samples = 512;
+  auto sink = std::make_shared<river::CollectingEnsembleSink>();
+  scheduler.add_station(
+      "st", std::make_shared<river::BufferSource>(xs, params.sample_rate),
+      sink, config);
+  scheduler.run();
+  expect_same_ensembles(sink->ensembles, want, "st");
+  EXPECT_EQ(scheduler.stats().stations[0].samples_replaced, 4U);
 }
 
 TEST(SessionScheduler, DropOldestAccountingIsExact) {

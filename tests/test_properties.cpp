@@ -3,9 +3,13 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <numbers>
 #include <random>
 
 #include "core/extractor.hpp"
+#include "core/stream_session.hpp"
 #include "meso/classifier.hpp"
 #include "river/wire.hpp"
 #include "synth/station.hpp"
@@ -171,3 +175,74 @@ TEST_P(TriggerSigmaSweep, HigherThresholdNeverExtractsMore) {
 
 INSTANTIATE_TEST_SUITE_P(Sigmas, TriggerSigmaSweep,
                          ::testing::Values(2.0, 3.0, 5.0));
+
+// -- Non-finite samples -------------------------------------------------------
+
+namespace {
+
+/// 120 s of background noise at the pipeline rate with a song-like burst
+/// train (1200-sample tones, 600-sample gaps, 1.5 s long) every 10 s.
+std::vector<float> songs_every_ten_seconds(unsigned seed) {
+  constexpr std::size_t kRate = 21600;
+  std::mt19937 gen(seed);
+  std::normal_distribution<float> noise(0.0F, 0.05F);
+  std::vector<float> xs(120 * kRate);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = noise(gen);
+    const std::size_t in_period = i % (10 * kRate);
+    if (in_period >= 4 * kRate && in_period < 4 * kRate + 3 * kRate / 2 &&
+        (in_period - 4 * kRate) % 1800 < 1200) {
+      const double phase = 0.22 * std::numbers::pi * static_cast<double>(i);
+      xs[i] += static_cast<float>(0.6 * std::sin(phase));
+    }
+  }
+  return xs;
+}
+
+/// Ensembles a default-parameter session cuts from `xs` (900-sample
+/// pushes) that start after sample `after`; `replaced` receives the
+/// session's count of non-finite samples.
+std::size_t ensembles_after(const std::vector<float>& xs, std::size_t after,
+                            std::size_t* replaced) {
+  core::StreamSession session{core::PipelineParams{}};
+  std::vector<river::Ensemble> got;
+  const std::span<const float> all(xs);
+  for (std::size_t pos = 0; pos < xs.size(); pos += 900) {
+    session.push(all.subspan(pos, std::min<std::size_t>(900, xs.size() - pos)));
+    for (auto& e : session.drain()) got.push_back(std::move(e));
+  }
+  for (auto& e : session.finish()) got.push_back(std::move(e));
+  *replaced = session.samples_replaced();
+  std::size_t n = 0;
+  for (const auto& e : got) n += e.start_sample > after ? 1 : 0;
+  return n;
+}
+
+}  // namespace
+
+TEST(NonFiniteProperty, OneBadSampleCostsAtMostOneEnsemble) {
+  // One NaN or ±inf sample at a random time must not silence the station:
+  // after it, the session finds the clean stream's ensembles, give or take
+  // the one the bad sample may perturb.
+  const auto clean = songs_every_ten_seconds(41);
+  std::size_t unused = 0;
+  std::mt19937 gen(2024);
+  std::uniform_int_distribution<std::size_t> when(5 * 21600, 110 * 21600);
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t at = when(gen);
+    const float value = bad[trial % 3];
+    SCOPED_TRACE(testing::Message() << "value " << value << " at " << at);
+    const std::size_t want = ensembles_after(clean, at, &unused);
+    ASSERT_GE(want, 1U) << "the clean stream must have ensembles after " << at;
+    auto dirty = clean;
+    dirty[at] = value;
+    std::size_t replaced = 0;
+    const std::size_t got = ensembles_after(dirty, at, &replaced);
+    EXPECT_EQ(replaced, 1U);
+    EXPECT_LE(got, want + 1);
+    EXPECT_GE(got + 1, want);
+  }
+}

@@ -8,6 +8,10 @@
 // ifstream, a window reload) are allowed, per-*frame* costs are
 // not — hence the < 0.05 allocations/frame ceiling.
 //
+// The append side is pinned the same way: SegmentedRecordLog::append encodes
+// into one reused buffer, so a warm appender allocates nothing per record
+// beyond the sparse index's occasional growth.
+//
 // Replay memory is also bounded per segment: a cursor reads a segment
 // through one fixed-size chunk, so replaying a multi-MiB sealed segment
 // never asks for a buffer anywhere near the segment's size. The shim records
@@ -199,4 +203,38 @@ TEST_F(ReplayAllocTest, ReplayOfAMultiMebibyteSegmentAllocatesNoLargeBuffer) {
   EXPECT_LT(g_largest_allocation.load(std::memory_order_relaxed),
             kMaxAllocation)
       << "cursor replay allocated a segment-sized buffer";
+}
+
+TEST_F(ReplayAllocTest, SteadyStateAppendIsAllocationFreePerRecord) {
+  // Packed 900-sample audio records appended to one active segment (no
+  // rotation inside the window): the encode buffer is reused, so only the
+  // sparse index's vector growth may allocate.
+  constexpr std::size_t kRecordSamples = 900;
+  constexpr std::size_t kMeasuredRecords = 1000;
+  river::FloatVec samples(kRecordSamples);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] =
+        quantize_pcm16(0.4F * std::sin(static_cast<float>(i) * 0.013F));
+  }
+  const river::Record rec =
+      river::Record::data(river::kSubtypeAudio, std::move(samples));
+
+  river::SegmentStoreOptions options;
+  options.pack_payloads = true;
+  river::SegmentedRecordLog log(temp_file("store"), options);
+  double t = 0.0;
+  for (std::size_t i = 0; i < 300; ++i, t += 1.0) log.append(rec, t);
+
+  const std::size_t segments = log.segments().size();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kMeasuredRecords; ++i, t += 1.0) {
+    log.append(rec, t);
+  }
+  const std::size_t during =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_EQ(log.segments().size(), segments) << "no rotation in the window";
+  EXPECT_LT(during, kMeasuredRecords / 20)
+      << "append allocated " << during << " times across " << kMeasuredRecords
+      << " records";
+  log.close();
 }

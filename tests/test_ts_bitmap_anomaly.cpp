@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <random>
 
@@ -294,9 +295,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Chunk-sweep property: the record-granular batch path must be bit-identical
 // to the incremental streaming path for EVERY chunking of the input, down to
-// 1-sample pushes. The batch path exists purely for speed (hoisted frame
-// folds, MovingAverage::push_run), so any ulp of divergence is a bug — the
-// scores feed integer trigger decisions and the extractor's cut points.
+// 1-sample pushes. Both run the one block kernel, but a whole frame folds
+// in place while a frame split across calls folds from the buffer, so any
+// ulp of divergence is a bug — the scores feed integer trigger decisions
+// and the extractor's cut points.
 // ---------------------------------------------------------------------------
 
 TEST(StreamingAnomaly, BatchMatchesStreamingForEveryChunking) {
@@ -385,5 +387,45 @@ TEST(StreamingAnomaly, BatchMatchesStreamingAfterReset) {
   scorer.push_batch(x.data(), x.size(), got.data());
   for (std::size_t i = 0; i < x.size(); ++i) {
     ASSERT_EQ(got[i], want[i]) << "i=" << i;
+  }
+}
+
+TEST(StreamingAnomaly, NonFiniteSamplesScoreAsZeros) {
+  // NaN and ±inf read as 0.0f: the scores equal those of the stream with
+  // zeros in their place, bit for bit, at every chunking; denormals pass
+  // unchanged. Each replaced sample is counted once.
+  for (const std::size_t frame : {1UL, 24UL}) {
+    ts::AnomalyParams params;
+    params.window = 60;
+    params.ma_window = 400;
+    params.frame = frame;
+    auto dirty = noise_with_bursts(9000, 4000, 3000, 29);
+    auto zeroed = dirty;
+    std::size_t bad = 0;
+    for (std::size_t i = 2000; i < 7000; i += 337) {
+      dirty[i] = (i / 337) % 3 == 0   ? std::numeric_limits<float>::quiet_NaN()
+                 : (i / 337) % 3 == 1 ? std::numeric_limits<float>::infinity()
+                                      : -std::numeric_limits<float>::infinity();
+      zeroed[i] = 0.0F;
+      ++bad;
+    }
+    for (std::size_t i = 7500; i < 7600; ++i) dirty[i] = zeroed[i] = 1e-42F;
+
+    const auto want = ts::anomaly_scores(zeroed, params);
+    for (const std::size_t chunk : {1UL, 7UL, 900UL}) {
+      ts::StreamingAnomalyScorer scorer(params);
+      std::vector<double> got(dirty.size());
+      for (std::size_t base = 0; base < dirty.size(); base += chunk) {
+        const std::size_t m = std::min(chunk, dirty.size() - base);
+        scorer.push_batch(dirty.data() + base, m, got.data() + base);
+      }
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "frame=" << frame << " chunk=" << chunk << " i=" << i;
+      }
+      EXPECT_EQ(scorer.samples_replaced(), bad);
+      scorer.reset();
+      EXPECT_EQ(scorer.samples_replaced(), 0U);
+    }
   }
 }
