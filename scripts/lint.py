@@ -52,6 +52,15 @@ tier-1 ctest `repo_lint`, so `ctest -L tier1` fails on a violation. Checks:
                             reappear in src/ — the scorer's block kernel
                             smooths — and `TriggerState` appears only in
                             core/ops_anomaly.* and core/stream_session.*.
+ 10. one-threading-policy   in src/, `std::thread` (and `std::jthread`,
+                            `std::async`) appears only in the threads'
+                            current owners: common/thread_pool.*,
+                            core/session_scheduler.*, river/manager.* and
+                            tools/dynriver_cli.cpp. Work runs on the shared
+                            pool, a scheduler lane or reader, a deployed
+                            segment's worker, or the CLI's retuner; a new
+                            background thread needs a reviewed entry in
+                            THREAD_OWNER_FILES.
 """
 
 from __future__ import annotations
@@ -336,6 +345,32 @@ class Linter:
                               "fused loop instead of adding a second "
                               "smoothing -> trigger loop")
 
+    # -- 10. one threading policy --------------------------------------------
+
+    THREAD_OWNER_FILES = (
+        "src/common/thread_pool.hpp",
+        "src/common/thread_pool.cpp",
+        "src/core/session_scheduler.hpp",
+        "src/core/session_scheduler.cpp",
+        "src/river/manager.hpp",
+        "src/river/manager.cpp",
+        "src/tools/dynriver_cli.cpp",
+    )
+
+    def check_threading(self) -> None:
+        allowed = {self.root / rel for rel in self.THREAD_OWNER_FILES}
+        spawn = re.compile(r"\bstd::(?:j?thread|async)\b")
+        for path in cxx_files(self.root, dirs=("src",)):
+            if path in allowed:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if spawn.search(strip_line_comment(line)):
+                    self.fail(path, lineno, "one-threading-policy",
+                              "a thread outside the reviewed owners: run the "
+                              "work on common::ThreadPool or a scheduler "
+                              "lane, or add the file to THREAD_OWNER_FILES "
+                              "with a reason")
+
     def run(self) -> int:
         self.check_cmake_targets()
         self.check_rng()
@@ -346,6 +381,7 @@ class Linter:
         self.check_fuzz_registration()
         self.check_size_arithmetic()
         self.check_session_loop()
+        self.check_threading()
         for err in self.errors:
             print(err, file=sys.stderr)
         if self.errors:

@@ -467,10 +467,6 @@ SchedulerStats SessionScheduler::stats() const {
   return out;
 }
 
-const std::string& SessionScheduler::station_name(std::size_t station) const {
-  return stations_.at(station)->name;
-}
-
 const StreamSession& SessionScheduler::session(std::size_t station) const {
   return *stations_.at(station)->session;
 }

@@ -198,7 +198,6 @@ class SessionScheduler {
 
   [[nodiscard]] SchedulerStats stats() const;
   [[nodiscard]] std::size_t station_count() const { return stations_.size(); }
-  [[nodiscard]] const std::string& station_name(std::size_t station) const;
 
   /// The station's session — for featurize() and parameter inspection.
   /// Only safe while the station is quiescent: from its own sink's

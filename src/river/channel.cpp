@@ -78,32 +78,4 @@ std::size_t InProcessChannel::size() const {
   return queue_.size();
 }
 
-LossyChannel::LossyChannel(std::shared_ptr<RecordChannel> inner,
-                           std::size_t fail_after)
-    : inner_(std::move(inner)), fail_after_(fail_after) {
-  DR_EXPECTS(inner_ != nullptr);
-}
-
-bool LossyChannel::send(Record rec) {
-  if (failed_) return false;
-  if (sent_ >= fail_after_) {
-    failed_ = true;
-    inner_->disconnect();
-    return false;
-  }
-  ++sent_;
-  return inner_->send(std::move(rec));
-}
-
-RecvStatus LossyChannel::recv(Record& out) { return inner_->recv(out); }
-
-void LossyChannel::close() {
-  if (!failed_) inner_->close();
-}
-
-void LossyChannel::disconnect() {
-  failed_ = true;
-  inner_->disconnect();
-}
-
 }  // namespace dynriver::river

@@ -2,14 +2,12 @@
 //
 // A channel moves records between segments that may live on different
 // threads or hosts. InProcessChannel is a bounded MPMC queue providing
-// backpressure; LossyChannel wraps another channel and injects faults
-// (drops the connection after N records) to exercise BadCloseScope recovery.
+// backpressure.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "common/thread_annotations.hpp"
@@ -72,27 +70,6 @@ class InProcessChannel final : public RecordChannel {
   std::size_t capacity_;  ///< immutable after construction
   bool closed_ DR_GUARDED_BY(mu_) = false;
   bool disconnected_ DR_GUARDED_BY(mu_) = false;
-};
-
-/// Fault-injection wrapper: forwards to an inner channel but abnormally
-/// disconnects after `fail_after` records have been sent.
-class LossyChannel final : public RecordChannel {
- public:
-  LossyChannel(std::shared_ptr<RecordChannel> inner, std::size_t fail_after);
-
-  bool send(Record rec) override;
-  RecvStatus recv(Record& out) override;
-  void close() override;
-  void disconnect() override;
-
-  [[nodiscard]] std::size_t sent() const { return sent_; }
-  [[nodiscard]] bool failed() const { return failed_; }
-
- private:
-  std::shared_ptr<RecordChannel> inner_;
-  std::size_t fail_after_;
-  std::size_t sent_ = 0;
-  bool failed_ = false;
 };
 
 }  // namespace dynriver::river

@@ -45,8 +45,8 @@ struct Envelope {
   double t = 0.0;
 };
 
-/// The one envelope rule. Every reader, crash recovery and compaction decide
-/// through it where a segment's valid payload ends. `left` counts the bytes
+/// The one envelope rule. Every reader and crash recovery decide through it
+/// where a segment's valid payload ends. `left` counts the bytes
 /// from the envelope at `p` to the end of the payload region; `p` is read
 /// only when an envelope header fits in them. The envelope is valid when
 /// 0 < len <= kMaxSegmentFrameBytes, its header and frame fit in `left`, and
@@ -99,15 +99,18 @@ bool load_segment_index(const std::filesystem::path& path,
                         std::string* error);
 
 // A reader guesses the active file's name from its manifest snapshot's next
-// index — but a compaction racing that snapshot hands the very same index to
-// a *merged* segment of older records. Telling the two apart needs the file
-// itself: a valid sealed footer whose span starts before the snapshot's
-// sealed tail is merged old data, and reading it as the live tail would
-// re-emit records with time running backwards. Returns false for that case
-// (skip the file). Otherwise the file is a plausible continuation: either
-// genuinely active (*sealed_payload_end = 0) or sealed after the snapshot
-// (*sealed_payload_end = its payload end, so the caller stops before the
-// index/footer bytes instead of reporting them as a torn tail).
+// index — but that index can since have been handed to *older* records.
+// Retention that retires every sealed segment leaves the log with no last
+// time once it is reopened, so the writer may append stamps older than the
+// snapshot's sealed tail into that very index and seal it. Telling the two
+// apart needs the file itself: a valid sealed footer whose span starts
+// before the snapshot's sealed tail is older data, and reading it as the
+// live tail would re-emit records with time running backwards. Returns false
+// for that case (skip the file). Otherwise the file is a plausible
+// continuation: either genuinely active (*sealed_payload_end = 0) or sealed
+// after the snapshot (*sealed_payload_end = its payload end, so the caller
+// stops before the index/footer bytes instead of reporting them as a torn
+// tail).
 bool probe_presumed_active(const std::filesystem::path& path,
                            double sealed_t_max,
                            std::uint64_t* sealed_payload_end);

@@ -124,32 +124,16 @@ bool SegmentWalk::next(SegmentWindow& w) {
 }
 
 void SegmentWalk::load_sealed(const SegmentInfo& s, SegmentWindow& w) const {
-  // The manifest is the truth, but an in-flight compaction may still hold
-  // the file under its temp name and rename it at any moment. Try both
-  // names, twice, so a rename landing between any two of our steps cannot
-  // fail the walk spuriously. (Retention/compaction that *deletes* a
-  // snapshot's files still invalidates it — see the header.)
-  const auto final_path = reader_->dir_ / s.name;
-  const auto tmp_path = fs::path(final_path.string() + ".tmp");
-  fs::path path;
+  const auto path = reader_->dir_ / s.name;
   SegmentFooter footer;
   std::string err;
-  for (int attempt = 0; attempt < 2 && path.empty(); ++attempt) {
-    for (const auto& candidate : {final_path, tmp_path}) {
-      std::string e;
-      if (!load_segment_footer(candidate, footer, &e)) {
-        if (err.empty()) err = e;
-        continue;
-      }
-      w.file.close();
-      w.file.clear();
-      w.file.open(candidate, std::ios::binary);
-      if (!w.file) continue;  // renamed away between footer load and open
-      path = candidate;
-      break;
-    }
+  if (!load_segment_footer(path, footer, &err)) {
+    throw WireError("segment store: " + err);
   }
-  if (path.empty()) throw WireError("segment store: " + err);
+  w.file.close();
+  w.file.clear();
+  w.file.open(path, std::ios::binary);
+  if (!w.file) throw WireError("segment store: cannot open " + path.string());
 
   std::uint64_t base = kSegmentHeaderBytes;
   if (s.t_min < t0_ && footer.index_count > 0) {
@@ -184,7 +168,7 @@ bool SegmentWalk::load_active(SegmentWindow& w) const {
                                   : sealed.back().t_max;
   std::uint64_t sealed_end = 0;
   if (!probe_presumed_active(path, sealed_t_max, &sealed_end)) {
-    return false;  // a racing compaction reused the index: merged old data
+    return false;  // the index was reused for older records: not the tail
   }
   w.file.close();
   w.file.clear();

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstring>
@@ -113,19 +112,14 @@ SegmentedRecordLog::~SegmentedRecordLog() {
 void SegmentedRecordLog::recover() {
   read_manifest(dir_, sealed_, next_index_);
 
-  // Roll an interrupted compaction forward: the manifest is the journal —
-  // if it references a segment whose file only exists under its temp name,
-  // the crash hit between the manifest publish and the rename.
+  // No segment file is ever renamed, so a manifest entry without its file is
+  // lost data: fail the open instead of guessing.
   for (const auto& s : sealed_) {
     const auto path = dir_ / s.name;
-    if (fs::exists(path)) continue;
-    const auto tmp = fs::path(path.string() + ".tmp");
-    if (fs::exists(tmp)) {
-      fs::rename(tmp, path);
-      continue;
+    if (!fs::exists(path)) {
+      throw std::runtime_error("segment store is missing sealed segment: " +
+                               path.string());
     }
-    throw std::runtime_error("segment store is missing sealed segment: " +
-                             path.string());
   }
 
   // Inventory everything else on disk.
@@ -150,8 +144,8 @@ void SegmentedRecordLog::recover() {
   bool manifest_dirty = false;
   for (const auto& [index, path] : orphans) {
     if (index < next_index_) {
-      // Known and since removed (retired or compacted away); the crash hit
-      // between the manifest publish and the file delete.
+      // Known and since retired; the crash hit between the manifest publish
+      // and the file delete.
       fs::remove(path);
       continue;
     }
@@ -258,28 +252,16 @@ void SegmentedRecordLog::ActiveSegment::account(
   payload_bytes += kEnvelopeHeaderBytes + len;
 }
 
-bool SegmentedRecordLog::ActiveSegment::write(const std::uint8_t* env,
-                                              const std::uint8_t* frame,
-                                              std::uint32_t len, double t,
-                                              std::uint64_t index_every_bytes) {
-  if (std::fwrite(env, 1, kEnvelopeHeaderBytes, file) != kEnvelopeHeaderBytes ||
-      std::fwrite(frame, 1, len, file) != len) {
-    return false;
-  }
-  account(env, frame, len, t, index_every_bytes);
-  return true;
-}
-
 SegmentInfo SegmentedRecordLog::ActiveSegment::info(std::string name,
                                                     bool sealed) const {
   return SegmentInfo{std::move(name), frames, payload_bytes, t_min,
                      t_max,           crc,    sealed};
 }
 
-SegmentedRecordLog::ActiveSegment SegmentedRecordLog::create_segment(
-    const fs::path& path, std::uint64_t index) {
+void SegmentedRecordLog::open_active() {
+  const auto path = dir_ / segment_name(next_index_);
   ActiveSegment seg;
-  seg.index = index;
+  seg.index = next_index_;
   seg.file = std::fopen(path.c_str(), "wb");
   if (seg.file == nullptr) {
     throw std::runtime_error("cannot open segment: " + path.string());
@@ -292,52 +274,7 @@ SegmentedRecordLog::ActiveSegment SegmentedRecordLog::create_segment(
     std::fclose(seg.file);  // best-effort: segment abandoned, throwing
     throw std::runtime_error("segment header write failed: " + path.string());
   }
-  return seg;
-}
-
-SegmentInfo SegmentedRecordLog::seal_segment(ActiveSegment& seg,
-                                             const std::string& name) const {
-  // Tail = sparse index then footer; footer_crc covers both up to itself.
-  std::vector<std::uint8_t> tail(seg.index_entries.size() * kIndexEntryBytes +
-                                 kSegmentFooterBytes);
-  std::uint8_t* p = tail.data();
-  for (const auto& [t, offset] : seg.index_entries) {
-    put_raw<double>(p, t);
-    put_raw<std::uint64_t>(p + 8, offset);
-    p += kIndexEntryBytes;
-  }
-  put_raw<std::uint64_t>(p + 0, seg.frames);
-  put_raw<std::uint64_t>(p + 8, kSegmentHeaderBytes + seg.payload_bytes);
-  put_raw<std::uint32_t>(p + 16,
-                         static_cast<std::uint32_t>(seg.index_entries.size()));
-  put_raw<std::uint16_t>(p + 20, kSegmentVersion);
-  put_raw<std::uint16_t>(p + 22, 0);  // flags
-  put_raw<double>(p + 24, seg.t_min);
-  put_raw<double>(p + 32, seg.t_max);
-  put_raw<std::uint32_t>(p + 40, seg.crc);
-  put_raw<std::uint32_t>(p + kFooterCrcOffset,
-                         crc32c(tail.data(), tail.size() - kSegmentFooterBytes +
-                                                 kFooterCrcOffset));
-  put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
-
-  std::FILE* file = std::exchange(seg.file, nullptr);
-  const bool wrote = std::fwrite(tail.data(), 1, tail.size(), file) == tail.size();
-  if (wrote && options_.sync_on_seal) {
-    try {
-      fsync_file(file, name);
-    } catch (...) {
-      std::fclose(file);  // best-effort: the segment is dropped, rethrowing
-      throw;
-    }
-  }
-  if (std::fclose(file) != 0 || !wrote) {
-    throw std::runtime_error("segment seal failed: " + (dir_ / name).string());
-  }
-  return seg.info(name, true);
-}
-
-void SegmentedRecordLog::open_active() {
-  active_ = create_segment(dir_ / segment_name(next_index_), next_index_);
+  active_ = std::move(seg);
 }
 
 void SegmentedRecordLog::append(const Record& rec, double t) {
@@ -363,10 +300,12 @@ void SegmentedRecordLog::append(const Record& rec, double t) {
   std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
   put_raw<std::uint32_t>(env.data(), len);
   put_raw<double>(env.data() + 4, t);
-  if (!active_.write(env.data(), frame_.data(), len, t,
-                     options_.index_every_bytes)) {
+  if (std::fwrite(env.data(), 1, env.size(), active_.file) != env.size() ||
+      std::fwrite(frame_.data(), 1, len, active_.file) != len) {
     throw std::runtime_error("segment append failed in " + dir_.string());
   }
+  active_.account(env.data(), frame_.data(), len, t,
+                  options_.index_every_bytes);
   last_t_ = t;
   ++written_;
 }
@@ -395,9 +334,46 @@ void SegmentedRecordLog::seal_active_locked() {
   // destructor's close()) would append a second tail to the same file. Drop
   // it whatever happens; recovery adopts the file on reopen — as a sealed
   // segment if the tail reached disk, else by valid-prefix truncation.
-  ActiveSegment sealing = std::exchange(active_, ActiveSegment{});
-  sealed_.push_back(seal_segment(sealing, name));
-  next_index_ = sealing.index + 1;
+  const ActiveSegment seg = std::exchange(active_, ActiveSegment{});
+
+  // Tail = sparse index then footer; footer_crc covers both up to itself.
+  std::vector<std::uint8_t> tail(seg.index_entries.size() * kIndexEntryBytes +
+                                 kSegmentFooterBytes);
+  std::uint8_t* p = tail.data();
+  for (const auto& [t, offset] : seg.index_entries) {
+    put_raw<double>(p, t);
+    put_raw<std::uint64_t>(p + 8, offset);
+    p += kIndexEntryBytes;
+  }
+  put_raw<std::uint64_t>(p + 0, seg.frames);
+  put_raw<std::uint64_t>(p + 8, kSegmentHeaderBytes + seg.payload_bytes);
+  put_raw<std::uint32_t>(p + 16,
+                         static_cast<std::uint32_t>(seg.index_entries.size()));
+  put_raw<std::uint16_t>(p + 20, kSegmentVersion);
+  put_raw<std::uint16_t>(p + 22, 0);  // flags
+  put_raw<double>(p + 24, seg.t_min);
+  put_raw<double>(p + 32, seg.t_max);
+  put_raw<std::uint32_t>(p + 40, seg.crc);
+  put_raw<std::uint32_t>(p + kFooterCrcOffset,
+                         crc32c(tail.data(), tail.size() - kSegmentFooterBytes +
+                                                 kFooterCrcOffset));
+  put_raw<std::uint32_t>(p + kFooterCrcOffset + 4, kSegmentFooterMagic);
+
+  const bool wrote =
+      std::fwrite(tail.data(), 1, tail.size(), seg.file) == tail.size();
+  if (wrote && options_.sync_on_seal) {
+    try {
+      fsync_file(seg.file, name);
+    } catch (...) {
+      std::fclose(seg.file);  // best-effort: segment dropped, rethrowing
+      throw;
+    }
+  }
+  if (std::fclose(seg.file) != 0 || !wrote) {
+    throw std::runtime_error("segment seal failed: " + (dir_ / name).string());
+  }
+  sealed_.push_back(seg.info(name, true));
+  next_index_ = seg.index + 1;
   write_manifest();
 }
 
@@ -410,144 +386,20 @@ void SegmentedRecordLog::close() {
 
 std::size_t SegmentedRecordLog::retire_before(double t) {
   const common::LockGuard lock(mu_);
-  return retire_before_locked(t, nullptr);
-}
-
-std::size_t SegmentedRecordLog::retire_before_locked(
-    double t, std::uint64_t* bytes_dropped) {
   std::vector<std::string> victims;
-  std::uint64_t bytes = 0;
   std::erase_if(sealed_, [&](const SegmentInfo& s) {
     if (s.t_max < t) {
       victims.push_back(s.name);
-      bytes += s.bytes;
       return true;
     }
     return false;
   });
-  if (bytes_dropped != nullptr) *bytes_dropped = bytes;
   if (victims.empty()) return 0;
   // Publish first, delete second: a crash in between leaves orphans with
   // indexes below `next`, which recovery deletes.
   write_manifest();
   for (const auto& name : victims) fs::remove(dir_ / name);
   return victims.size();
-}
-
-void SegmentedRecordLog::copy_sealed_payload(const SegmentInfo& source,
-                                             ActiveSegment& into) const {
-  const auto path = dir_ / source.name;
-  SegmentFooter footer;
-  std::string err;
-  if (!load_segment_footer(path, footer, &err)) {
-    throw std::runtime_error("compaction: " + err);
-  }
-  std::ifstream in(path, std::ios::binary);
-  in.seekg(static_cast<std::streamoff>(kSegmentHeaderBytes));
-  std::vector<std::uint8_t> frame;
-  std::array<std::uint8_t, kEnvelopeHeaderBytes> env;
-  std::uint32_t crc = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t pos = kSegmentHeaderBytes;
-  while (pos < footer.payload_end) {
-    Envelope e;
-    if (!read_exact(in, env.data(), env.size()) ||
-        !parse_envelope(env.data(), footer.payload_end - pos, into.floor_t(),
-                        e)) {
-      throw std::runtime_error("compaction: corrupt envelope in " +
-                               path.string());
-    }
-    frame.resize(e.len);
-    if (!read_exact(in, frame.data(), e.len)) {
-      throw std::runtime_error("compaction: short read in " + path.string());
-    }
-    crc = crc32c(env.data(), env.size(), crc);
-    crc = crc32c(frame.data(), e.len, crc);
-    ++frames;
-    if (!into.write(env.data(), frame.data(), e.len, e.t,
-                    options_.index_every_bytes)) {
-      throw std::runtime_error("compaction: write failed in " + dir_.string());
-    }
-    pos += kEnvelopeHeaderBytes + e.len;
-  }
-  if (crc != footer.payload_crc || crc != source.payload_crc ||
-      frames != footer.frames) {
-    throw std::runtime_error("compaction: payload checksum mismatch in " +
-                             path.string());
-  }
-}
-
-std::size_t SegmentedRecordLog::compact(std::uint64_t min_bytes,
-                                        std::size_t max_run) {
-  const common::LockGuard lock(mu_);
-  return compact_locked(min_bytes, max_run, nullptr);
-}
-
-std::size_t SegmentedRecordLog::compact_locked(std::uint64_t min_bytes,
-                                               std::size_t max_run,
-                                               std::uint64_t* bytes_rewritten) {
-  if (bytes_rewritten != nullptr) *bytes_rewritten = 0;
-  if (max_run < 2) return 0;
-  // Rotate first: the merged segment takes the next free index, and while a
-  // segment is active that index is the active file's — merging into it
-  // would rename over the live file under the writer.
-  seal_active_locked();
-  std::size_t removed = 0;
-  std::size_t run_begin = 0;
-  while (run_begin < sealed_.size()) {
-    // Find a maximal run of adjacent small segments (bounded by max_run so
-    // one pass under the log's lock stays short).
-    std::size_t run_end = run_begin;
-    while (run_end < sealed_.size() && run_end - run_begin < max_run &&
-           sealed_[run_end].bytes < min_bytes) {
-      ++run_end;
-    }
-    if (run_end - run_begin < 2) {
-      run_begin = run_end + 1;
-      continue;
-    }
-
-    const auto merged_index = next_index_;
-    const auto merged_name = segment_name(merged_index);
-    const auto tmp = fs::path((dir_ / merged_name).string() + ".tmp");
-    // Merge by raw envelope copy: frames are never re-encoded, only the
-    // index/footer are rebuilt over the concatenation. The copy re-checks
-    // each source against its payload CRC and the envelope rule; a mismatch
-    // abandons the merge before the manifest is touched, leaving the damaged
-    // segment in place for verify() to report.
-    ActiveSegment merged = create_segment(tmp, merged_index);
-    SegmentInfo merged_info;
-    try {
-      for (std::size_t i = run_begin; i < run_end; ++i) {
-        copy_sealed_payload(sealed_[i], merged);
-      }
-      merged_info = seal_segment(merged, merged_name);
-    } catch (...) {
-      if (merged.file != nullptr) std::fclose(merged.file);  // best-effort
-      std::error_code ec;
-      fs::remove(tmp, ec);  // pre-publish: nothing references it
-      throw;
-    }
-    std::vector<std::string> replaced;
-    for (std::size_t i = run_begin; i < run_end; ++i) {
-      replaced.push_back(sealed_[i].name);
-    }
-
-    sealed_.erase(sealed_.begin() + static_cast<std::ptrdiff_t>(run_begin),
-                  sealed_.begin() + static_cast<std::ptrdiff_t>(run_end));
-    sealed_.insert(sealed_.begin() + static_cast<std::ptrdiff_t>(run_begin),
-                   merged_info);
-    next_index_ = merged_index + 1;
-    write_manifest();
-    fs::rename(tmp, dir_ / merged_name);
-    if (options_.sync_on_seal) fsync_directory(dir_);
-    for (const auto& name : replaced) fs::remove(dir_ / name);
-
-    removed += replaced.size() - 1;
-    if (bytes_rewritten != nullptr) *bytes_rewritten += merged_info.bytes;
-    run_begin += 1;  // continue after the merged entry
-  }
-  return removed;
 }
 
 std::size_t SegmentedRecordLog::records_written() const {
@@ -572,83 +424,6 @@ std::vector<SegmentInfo> SegmentedRecordLog::segments() const {
     out.push_back(active_.info(segment_name(active_.index), false));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// SegmentedRecordLog::Maintenance
-// ---------------------------------------------------------------------------
-
-SegmentedRecordLog::Maintenance::Maintenance(SegmentedRecordLog& log,
-                                             MaintenanceOptions options)
-    : log_(log), options_(options) {
-  DR_EXPECTS(options_.interval_seconds > 0.0);
-  thread_ = std::thread([this] { run(); });
-}
-
-SegmentedRecordLog::Maintenance::~Maintenance() { stop(); }
-
-SegmentedRecordLog::Maintenance::Stats SegmentedRecordLog::Maintenance::stats()
-    const {
-  const common::LockGuard lock(mu_);
-  return stats_;
-}
-
-void SegmentedRecordLog::Maintenance::stop() {
-  {
-    const common::LockGuard lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void SegmentedRecordLog::Maintenance::run() {
-  common::UniqueLock lock(mu_);
-  while (!stop_) {
-    lock.unlock();
-    std::uint64_t bytes = 0;
-    std::size_t retired = 0;
-    std::size_t merged = 0;
-    try {
-      const common::LockGuard log_lock(log_.mu_);
-      if (options_.retain_seconds > 0.0 && std::isfinite(log_.last_t_)) {
-        std::uint64_t dropped = 0;
-        retired = log_.retire_before_locked(
-            log_.last_t_ - options_.retain_seconds, &dropped);
-        bytes += dropped;
-      }
-      if (options_.compact_min_bytes > 0) {
-        std::uint64_t rewritten = 0;
-        merged = log_.compact_locked(options_.compact_min_bytes,
-                                     options_.compact_max_run, &rewritten);
-        bytes += rewritten;
-      }
-    } catch (...) {
-      // Maintenance must never take the pipeline down: skip this cycle and
-      // retry next interval. A persistent I/O failure still surfaces — the
-      // writer's own append/sync/close throw.
-    }
-    // Budget: a cycle that touched N bytes earns at least N / budget seconds
-    // of quiet, capping average maintenance I/O at budget bytes/second.
-    double sleep_s = options_.interval_seconds;
-    if (options_.budget_bytes_per_sec > 0 && bytes > 0) {
-      sleep_s = std::max(sleep_s,
-                         static_cast<double>(bytes) /
-                             static_cast<double>(options_.budget_bytes_per_sec));
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(sleep_s));
-    lock.lock();
-    ++stats_.cycles;
-    stats_.segments_retired += retired;
-    stats_.segments_merged += merged;
-    stats_.bytes_processed += bytes;
-    while (!stop_ &&
-           cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

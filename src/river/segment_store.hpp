@@ -25,7 +25,7 @@
 // 8-byte header is checksummed. Readers locate the footer at EOF - 52.
 //
 // One envelope rule (detail::parse_envelope) decides where a payload's
-// valid part ends, for readers, recovery and compaction alike: 0 < len <=
+// valid part ends, for readers and recovery alike: 0 < len <=
 // kMaxSegmentFrameBytes, the frame fits in the bytes left, and the stamp is
 // finite and not below the one before it. A frame must also decode as
 // exactly `len` bytes of wire frame.
@@ -38,18 +38,17 @@
 //     bounded snapshot of the active tail (complete frames only; in-flight
 //     bytes surface as a torn tail). A reader drains exactly the records
 //     recovery would keep from the same active tail.
-//     Readers also retry a segment's temp name, so an in-flight compaction
-//     rename cannot fail them spuriously. retire_before()/compact() DELETE
-//     files, however: a reader opened before such a call may fail once a
-//     file its snapshot references is gone — re-seek afterwards.
+//     retire_before() DELETES files, however: a reader opened before such a
+//     call may fail once a file its snapshot references is gone — re-seek
+//     afterwards. Retention can also hand a stale reader's presumed-active
+//     index to older records: retire every sealed segment, reopen (the log
+//     then has no last time) and append older stamps. The reader probes the
+//     file and skips it (detail::probe_presumed_active).
 //   - Crash recovery on reopen adopts any sealed-but-unmanifested segment,
-//     rolls forward an interrupted compaction, truncates the active
-//     segment to its valid prefix and seals what survived — all with
-//     bounded memory. A segment file it cannot read fails the open; only
-//     bytes that were read and failed the rules are dropped.
-//   - Compaction checks each source segment's payload CRC and the envelope
-//     rule while it copies, and throws before touching the manifest on a
-//     mismatch: damage stays where verify() reports it.
+//     truncates the active segment to its valid prefix and seals what
+//     survived — all with bounded memory. A manifest entry whose file is
+//     missing, or a segment file it cannot read, fails the open; only bytes
+//     that were read and failed the rules are dropped.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +58,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -106,25 +104,6 @@ struct SegmentStoreOptions {
   bool pack_payloads = false;
 };
 
-/// Knobs for SegmentedRecordLog::Maintenance.
-struct MaintenanceOptions {
-  /// Seconds between maintenance cycles (lower bound; budget can stretch it).
-  double interval_seconds = 1.0;
-  /// Drop sealed segments ending more than this many seconds before the
-  /// newest appended record (0 disables retention).
-  double retain_seconds = 0.0;
-  /// Merge adjacent sealed segments smaller than this (0 disables
-  /// compaction).
-  std::uint64_t compact_min_bytes = 0;
-  /// At most this many segments merge per compaction pass, bounding how
-  /// long one cycle holds the log's lock.
-  std::size_t compact_max_run = 8;
-  /// Average maintenance I/O throughput cap in bytes/second: after a cycle
-  /// that retired or merged N bytes, sleep at least N / budget seconds
-  /// before the next one (0 = unthrottled).
-  std::uint64_t budget_bytes_per_sec = 0;
-};
-
 /// One segment as listed by the manifest (sealed) or observed live (active).
 struct SegmentInfo {
   std::string name;            ///< file name within the store directory
@@ -140,9 +119,8 @@ struct SegmentInfo {
 /// size/time, maintains the manifest, recovers from crashes on reopen.
 /// Stream time must be non-decreasing across appends.
 ///
-/// All public methods are serialized by an internal mutex, so a Maintenance
-/// thread (or any other thread) may run retire_before()/compact() while the
-/// owning thread keeps appending.
+/// All public methods are serialized by an internal mutex, so another thread
+/// may run retire_before() while the owning thread keeps appending.
 class SegmentedRecordLog {
  public:
   explicit SegmentedRecordLog(const std::filesystem::path& dir,
@@ -170,14 +148,6 @@ class SegmentedRecordLog {
   /// Returns the number of segments removed.
   std::size_t retire_before(double t);
 
-  /// Compaction: merge adjacent runs of sealed segments smaller than
-  /// `min_bytes` into single segments (raw envelope copy — frames are not
-  /// re-encoded). Seals the active segment first so the merged segment
-  /// never takes the live file's name. At most `max_run` segments join one
-  /// merged segment. Returns the net number of segments eliminated.
-  std::size_t compact(std::uint64_t min_bytes,
-                      std::size_t max_run = std::numeric_limits<std::size_t>::max());
-
   [[nodiscard]] std::size_t records_written() const;
   /// Complete frames preserved from a torn active segment on reopen.
   [[nodiscard]] std::size_t recovered_records() const;
@@ -187,45 +157,9 @@ class SegmentedRecordLog {
   [[nodiscard]] std::vector<SegmentInfo> segments() const;
   [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
 
-  /// Hands-off background maintenance: owns a thread that periodically
-  /// applies retention and compaction to the log, throttled to an average
-  /// byte budget so archive housekeeping cannot starve the live writer.
-  /// Construct after the log, destroy (or stop()) before closing it.
-  class Maintenance {
-   public:
-    Maintenance(SegmentedRecordLog& log, MaintenanceOptions options);
-    ~Maintenance();
-    Maintenance(const Maintenance&) = delete;
-    Maintenance& operator=(const Maintenance&) = delete;
-
-    /// Counters across all cycles so far (readable while running).
-    struct Stats {
-      std::size_t cycles = 0;
-      std::size_t segments_retired = 0;
-      std::size_t segments_merged = 0;     ///< net segments eliminated
-      std::uint64_t bytes_processed = 0;   ///< retired + rewritten payload
-    };
-    [[nodiscard]] Stats stats() const;
-
-    /// Finish the in-flight cycle, if any, and join the thread. Idempotent;
-    /// the destructor calls it.
-    void stop();
-
-   private:
-    void run();
-
-    SegmentedRecordLog& log_;
-    MaintenanceOptions options_;
-    mutable common::Mutex mu_;
-    common::CondVar cv_;
-    Stats stats_ DR_GUARDED_BY(mu_);
-    bool stop_ DR_GUARDED_BY(mu_) = false;
-    std::thread thread_;  ///< started in ctor, joined in stop() only
-  };
-
  private:
-  /// A segment being grown: the writer's active segment, the valid prefix
-  /// recovery scans, or a compaction's merged output.
+  /// A segment being grown: the writer's active segment or the valid prefix
+  /// recovery scans.
   struct ActiveSegment {
     std::FILE* file = nullptr;
     std::uint64_t index = 0;  ///< numeric suffix of the file name
@@ -242,43 +176,21 @@ class SegmentedRecordLog {
       return frames == 0 ? -std::numeric_limits<double>::infinity() : t_max;
     }
     /// Count one envelope that now ends the payload: its sparse-index entry,
-    /// the CRC chain, the time span, frames and payload bytes. Append,
-    /// recovery and compaction all grow a segment through this.
+    /// the CRC chain, the time span, frames and payload bytes. Append and
+    /// recovery both grow a segment through this.
     void account(const std::uint8_t* env, const std::uint8_t* frame,
                  std::uint32_t len, double t, std::uint64_t index_every_bytes);
-    /// Write one envelope to `file`, then account() it; false when the
-    /// write failed.
-    [[nodiscard]] bool write(const std::uint8_t* env, const std::uint8_t* frame,
-                             std::uint32_t len, double t,
-                             std::uint64_t index_every_bytes);
     /// The listing of this segment under `name`.
     [[nodiscard]] SegmentInfo info(std::string name, bool sealed) const;
   };
 
-  /// Create `path` holding just a segment header, as segment `index`.
-  [[nodiscard]] static ActiveSegment create_segment(
-      const std::filesystem::path& path, std::uint64_t index);
-  /// The one seal: append `seg`'s sparse index and footer, fsync when
-  /// sync_on_seal, and close its file, which is closed however this ends.
-  /// Returns the sealed listing under `name`; throws if the tail did not
-  /// reach the file.
-  SegmentInfo seal_segment(ActiveSegment& seg, const std::string& name) const;
-
-  /// Compaction's copy of one sealed source into `into`, checked against
-  /// the envelope rule and the source's payload CRC; throws on a mismatch.
-  void copy_sealed_payload(const SegmentInfo& source,
-                           ActiveSegment& into) const;
-
   void open_active() DR_REQUIRES(mu_);
   void write_manifest() const DR_REQUIRES(mu_);
   void recover() DR_REQUIRES(mu_);
-  // _locked variants hold mu_ (public wrappers acquire it); they exist so
-  // internal callers — compact seals first, close seals — never re-lock.
+  /// The one seal: append the active segment's sparse index and footer,
+  /// fsync when sync_on_seal, close it and publish it in the manifest.
+  /// Rotation, seal_active(), close() and recovery all seal through it.
   void seal_active_locked() DR_REQUIRES(mu_);
-  std::size_t retire_before_locked(double t, std::uint64_t* bytes_dropped)
-      DR_REQUIRES(mu_);
-  std::size_t compact_locked(std::uint64_t min_bytes, std::size_t max_run,
-                             std::uint64_t* bytes_rewritten) DR_REQUIRES(mu_);
 
   mutable common::Mutex mu_;
   std::filesystem::path dir_;
@@ -303,7 +215,7 @@ namespace detail {
 /// the segment's file open and holds one fixed-size chunk of it (its
 /// buffer grows beyond a chunk only to fit a larger frame, never past
 /// `end`), so replay memory does not grow with the segment size. An open
-/// file survives a compaction's rename and unlink.
+/// file survives retention's unlink.
 struct SegmentWindow {
   std::ifstream file;      ///< the segment, open across refills
   std::uint64_t base = 0;  ///< file offset the scan starts at
